@@ -26,18 +26,28 @@
 // histograms, trace events, name tables) so a restored run's dumps are
 // byte-identical to the straight run's. The sections are split because
 // the `checkpoint.bytes` counter must itself be inside the obs section:
-// it is stamped after the cluster section is encoded and before the obs
-// state is captured, in both the straight and the restored run.
+// the capture path reads the cluster section's length from ClusterLen (a
+// pure function of the snapshot), stamps the counter, and only then takes
+// the obs state, in both the straight and the restored run.
+//
+// Encode is the one encoder. It sums the section lengths first, so each
+// blob is one allocation of its exact final size, and writes the stream
+// file and the MXM weight block of each chip in bulk. Decode likewise
+// allocates the chips and their memory vectors once each, at the counts
+// it has bounds-checked.
 package checkpoint
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/c2c"
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/topo"
@@ -111,6 +121,25 @@ type Snapshot struct {
 
 // --- encoder -----------------------------------------------------------
 
+// Fixed sizes of the version-2 layout, in bytes. The length functions
+// below add them up without touching the encoder, so Encode can size its
+// buffer exactly before writing a byte.
+const (
+	headerLen   = len(magic) + 4 + 8 // magic, version, payload length
+	crcLen      = 4
+	scalarsLen  = 8*8 + 1 // the cluster section's nine leading fields
+	streamsLen  = tsp.NumStreams * tsp.VectorBytes
+	weightsLen  = tsp.WeightRows * tsp.FloatLanes * 4
+	unitLen     = 8 + 8 + 1 + 1 + 8 + 8
+	wordsLen    = mem.VectorBytes / 8 * 9 // one vector's SECDED words
+	vectorLen   = 8 + wordsLen
+	envelopeLen = 8 + tsp.VectorBytes
+	linkLen     = 6 * 8
+	linkMBELen  = 3 * 8
+	// chipFixedLen is a chip section without its memory vectors.
+	chipFixedLen = streamsLen + weightsLen + 4 + int(isa.NumUnits)*unitLen + 8 + 8 + 4
+)
+
 type enc struct{ b []byte }
 
 func (e *enc) u8(v byte)    { e.b = append(e.b, v) }
@@ -121,7 +150,6 @@ func (e *enc) u64(v uint64) {
 }
 func (e *enc) i64(v int64)    { e.u64(uint64(v)) }
 func (e *enc) f64(v float64)  { e.u64(math.Float64bits(v)) }
-func (e *enc) f32(v float32)  { e.u32(math.Float32bits(v)) }
 func (e *enc) bytes(v []byte) { e.b = append(e.b, v...) }
 func (e *enc) str(s string) {
 	e.u32(uint32(len(s)))
@@ -135,11 +163,98 @@ func (e *enc) bool(v bool) {
 	}
 }
 
-// EncodeCluster serializes the snapshot's cluster section (everything but
-// the obs state). Its length is what the `checkpoint.bytes` counter
-// reports: the obs section cannot count itself.
-func EncodeCluster(s *Snapshot) []byte {
-	e := &enc{b: make([]byte, 0, 1<<16)}
+// grow extends the buffer by n bytes and returns them for the caller to
+// fill in bulk. Within the buffer's capacity it neither allocates nor
+// zeroes.
+func (e *enc) grow(n int) []byte {
+	l := len(e.b)
+	e.b = slices.Grow(e.b, n)[:l+n]
+	return e.b[l:]
+}
+
+// chipLen is the encoded length of one chip's section.
+func chipLen(c *tsp.ChipState) int {
+	return chipFixedLen + len(c.Mem.Vectors)*vectorLen
+}
+
+// ClusterLen is the encoded length of the snapshot's cluster section
+// (everything but the obs state), computed without encoding it. It is
+// what the `checkpoint.bytes` counter reports: the obs section cannot
+// count itself.
+func ClusterLen(s *Snapshot) int {
+	n := scalarsLen + 4
+	for i := range s.Chips {
+		n += chipLen(&s.Chips[i])
+	}
+	n += 4
+	for _, mb := range s.Mailboxes {
+		n += 4
+		for _, q := range mb {
+			n += 4 + len(q)*envelopeLen
+		}
+	}
+	n += 4 + len(s.Links)*linkLen
+	n += 4 + len(s.LinkMBEs)*linkMBELen
+	n += 4 + len(s.Repaired)*8
+	return n
+}
+
+// obsLen is the encoded length of the obs section.
+func obsLen(s *obs.State) int {
+	if s == nil {
+		return 1
+	}
+	n := 1 + 4
+	for k := range s.Counters {
+		n += 4 + len(k) + 8
+	}
+	n += 4
+	for k := range s.Gauges {
+		n += 4 + len(k) + 8
+	}
+	n += 4
+	for k, h := range s.Hists {
+		n += 4 + len(k) + 4*8 + 4 + len(h.Counts)*8
+	}
+	n += 4
+	for _, ev := range s.Events {
+		n += 4 + len(ev.Name) + 1 + 4*8
+	}
+	n += 4
+	for _, name := range s.Procs {
+		n += 8 + 4 + len(name)
+	}
+	n += 4
+	for _, name := range s.Threads {
+		n += 2*8 + 4 + len(name)
+	}
+	n += 8 + 4
+	for k, sr := range s.Series {
+		n += 4 + len(k) + 8 + 4 + len(sr.Samples)*2*8
+	}
+	return n
+}
+
+// Encode serializes the whole snapshot (cluster section + Obs) into one
+// checksummed blob. The blob is allocated once, at its exact final size.
+func Encode(s *Snapshot) []byte {
+	plen := ClusterLen(s) + obsLen(s.Obs)
+	n := headerLen + plen + crcLen
+	e := &enc{b: make([]byte, 0, n)}
+	e.b = append(e.b, magic...)
+	e.u32(Version)
+	e.u64(uint64(plen))
+	appendCluster(e, s)
+	appendObs(e, s.Obs)
+	e.u32(crc32.ChecksumIEEE(e.b[headerLen:]))
+	if len(e.b) != n {
+		panic(fmt.Sprintf("checkpoint: encoded %d bytes, length functions gave %d", len(e.b), n))
+	}
+	return e.b
+}
+
+// appendCluster encodes the snapshot's cluster section.
+func appendCluster(e *enc, s *Snapshot) {
 	e.i64(s.CaptureCycle)
 	e.i64(s.BaseWall)
 	e.i64(s.Cadence)
@@ -188,19 +303,21 @@ func EncodeCluster(s *Snapshot) []byte {
 	for _, id := range s.Repaired {
 		e.i64(int64(id))
 	}
-	return e.b
 }
 
 // appendChip encodes one chip's section: streams, weights, unit cursors,
-// and the raw SECDED memory words.
+// and the raw SECDED memory words. The streams and the weight block are
+// written in bulk.
 func appendChip(e *enc, c *tsp.ChipState) {
 	for i := range c.Streams {
 		e.bytes(c.Streams[i][:])
 	}
+	w := e.grow(weightsLen)
 	for r := range c.Weights {
-		for j := range c.Weights[r] {
-			e.f32(c.Weights[r][j])
+		for j, f := range c.Weights[r] {
+			binary.LittleEndian.PutUint32(w[4*j:], math.Float32bits(f))
 		}
+		w = w[4*tsp.FloatLanes:]
 	}
 	e.u32(uint32(len(c.Units)))
 	for u := range c.Units {
@@ -215,11 +332,13 @@ func appendChip(e *enc, c *tsp.ChipState) {
 	e.i64(c.Mem.CorrectedSBEs)
 	e.i64(c.Mem.DetectedMBEs)
 	e.u32(uint32(len(c.Mem.Vectors)))
-	for _, vs := range c.Mem.Vectors {
+	for vi := range c.Mem.Vectors {
+		vs := &c.Mem.Vectors[vi]
 		e.i64(int64(vs.Linear))
-		for _, w := range vs.Words {
-			e.u64(w.Data)
-			e.u8(w.Check)
+		b := e.grow(wordsLen)
+		for k, word := range vs.Words {
+			binary.LittleEndian.PutUint64(b[9*k:], word.Data)
+			b[9*k+8] = word.Check
 		}
 	}
 }
@@ -230,27 +349,29 @@ func appendChip(e *enc, c *tsp.ChipState) {
 // checks) can compare whole chips byte-for-byte without assembling a full
 // cluster blob.
 func EncodeChip(c *tsp.ChipState) []byte {
-	e := &enc{b: make([]byte, 0, 1<<13)}
+	e := &enc{b: make([]byte, 0, chipLen(c))}
 	appendChip(e, c)
 	return e.b
 }
 
-// encodeObs serializes the recorder state section.
-func encodeObs(s *obs.State) []byte {
-	e := &enc{}
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	ks := make([]K, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	return ks
+}
+
+// appendObs encodes the recorder state section, every map in sorted key
+// order.
+func appendObs(e *enc, s *obs.State) {
 	if s == nil {
 		e.bool(false)
-		return e.b
+		return
 	}
 	e.bool(true)
-	sortedKeys := func(m map[string]int64) []string {
-		ks := make([]string, 0, len(m))
-		for k := range m {
-			ks = append(ks, k)
-		}
-		sort.Strings(ks)
-		return ks
-	}
 	cks := sortedKeys(s.Counters)
 	e.u32(uint32(len(cks)))
 	for _, k := range cks {
@@ -263,11 +384,7 @@ func encodeObs(s *obs.State) []byte {
 		e.str(k)
 		e.i64(s.Gauges[k])
 	}
-	hks := make([]string, 0, len(s.Hists))
-	for k := range s.Hists {
-		hks = append(hks, k)
-	}
-	sort.Strings(hks)
+	hks := sortedKeys(s.Hists)
 	e.u32(uint32(len(hks)))
 	for _, k := range hks {
 		h := s.Hists[k]
@@ -290,11 +407,7 @@ func encodeObs(s *obs.State) []byte {
 		e.f64(ev.TS)
 		e.f64(ev.Dur)
 	}
-	pids := make([]int, 0, len(s.Procs))
-	for pid := range s.Procs {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
+	pids := sortedKeys(s.Procs)
 	e.u32(uint32(len(pids)))
 	for _, pid := range pids {
 		e.i64(int64(pid))
@@ -304,11 +417,11 @@ func encodeObs(s *obs.State) []byte {
 	for k := range s.Threads {
 		tks = append(tks, k)
 	}
-	sort.Slice(tks, func(i, j int) bool {
-		if tks[i][0] != tks[j][0] {
-			return tks[i][0] < tks[j][0]
+	slices.SortFunc(tks, func(a, b [2]int) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
 		}
-		return tks[i][1] < tks[j][1]
+		return cmp.Compare(a[1], b[1])
 	})
 	e.u32(uint32(len(tks)))
 	for _, k := range tks {
@@ -317,11 +430,7 @@ func encodeObs(s *obs.State) []byte {
 		e.str(s.Threads[k])
 	}
 	e.i64(s.SeriesCadence)
-	sks := make([]string, 0, len(s.Series))
-	for k := range s.Series {
-		sks = append(sks, k)
-	}
-	sort.Strings(sks)
+	sks := sortedKeys(s.Series)
 	e.u32(uint32(len(sks)))
 	for _, k := range sks {
 		sr := s.Series[k]
@@ -333,26 +442,6 @@ func encodeObs(s *obs.State) []byte {
 			e.i64(p.Value)
 		}
 	}
-	return e.b
-}
-
-// Assemble frames an already-encoded cluster section and an obs state
-// into a complete checksummed blob.
-func Assemble(cluster []byte, obsState *obs.State) []byte {
-	payload := append(append([]byte(nil), cluster...), encodeObs(obsState)...)
-	e := &enc{b: make([]byte, 0, len(payload)+24)}
-	e.bytes([]byte(magic))
-	e.u32(Version)
-	e.u64(uint64(len(payload)))
-	e.bytes(payload)
-	e.u32(crc32.ChecksumIEEE(payload))
-	return e.b
-}
-
-// Encode serializes the whole snapshot (cluster section + Obs) into one
-// blob.
-func Encode(s *Snapshot) []byte {
-	return Assemble(EncodeCluster(s), s.Obs)
 }
 
 // --- decoder -----------------------------------------------------------
@@ -409,7 +498,6 @@ func (d *dec) u64() uint64 {
 
 func (d *dec) i64() int64   { return int64(d.u64()) }
 func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
-func (d *dec) f32() float32 { return math.Float32frombits(d.u32()) }
 func (d *dec) bool() bool   { return d.u8() != 0 }
 
 func (d *dec) str() string {
@@ -473,18 +561,29 @@ func Decode(blob []byte) (*Snapshot, error) {
 	s.MBEs = d.i64()
 	s.FirstMBECycle = d.i64()
 
-	nChips := d.count(tsp.NumStreams * tsp.VectorBytes)
+	// The chips and their memory vectors, nearly all of a blob's bytes,
+	// are allocated once, at the count the bounds check has accepted.
+	nChips := d.count(chipFixedLen)
+	if nChips > 0 {
+		s.Chips = make([]tsp.ChipState, nChips)
+	}
 	for ci := 0; ci < nChips && d.err == nil; ci++ {
-		var c tsp.ChipState
+		c := &s.Chips[ci]
+		streams := d.take(streamsLen)
+		weights := d.take(weightsLen)
+		if d.err != nil {
+			break
+		}
 		for i := range c.Streams {
-			copy(c.Streams[i][:], d.take(tsp.VectorBytes))
+			copy(c.Streams[i][:], streams[i*tsp.VectorBytes:])
 		}
 		for r := range c.Weights {
 			for j := range c.Weights[r] {
-				c.Weights[r][j] = d.f32()
+				c.Weights[r][j] = math.Float32frombits(binary.LittleEndian.Uint32(weights[4*j:]))
 			}
+			weights = weights[4*tsp.FloatLanes:]
 		}
-		nUnits := d.count(8)
+		nUnits := d.count(unitLen)
 		if d.err == nil && nUnits != len(c.Units) {
 			d.fail("checkpoint: chip %d has %d units (want %d)", ci, nUnits, len(c.Units))
 		}
@@ -500,16 +599,22 @@ func Decode(blob []byte) (*Snapshot, error) {
 		}
 		c.Mem.CorrectedSBEs = d.i64()
 		c.Mem.DetectedMBEs = d.i64()
-		nVecs := d.count(8 + 9*tsp.VectorBytes/8)
-		for v := 0; v < nVecs && d.err == nil; v++ {
-			vs := mem.VectorState{Linear: int(d.i64())}
-			for w := range vs.Words {
-				vs.Words[w].Data = d.u64()
-				vs.Words[w].Check = d.u8()
-			}
-			c.Mem.Vectors = append(c.Mem.Vectors, vs)
+		nVecs := d.count(vectorLen)
+		if nVecs > 0 {
+			c.Mem.Vectors = make([]mem.VectorState, nVecs)
 		}
-		s.Chips = append(s.Chips, c)
+		for v := 0; v < nVecs && d.err == nil; v++ {
+			vs := &c.Mem.Vectors[v]
+			vs.Linear = int(d.i64())
+			b := d.take(wordsLen)
+			if b == nil {
+				break
+			}
+			for w := range vs.Words {
+				vs.Words[w].Data = binary.LittleEndian.Uint64(b[9*w:])
+				vs.Words[w].Check = b[9*w+8]
+			}
+		}
 	}
 
 	nMB := d.count(4)

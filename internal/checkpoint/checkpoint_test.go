@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"testing"
@@ -171,11 +173,103 @@ func TestCheckpointUnknownVersionRejected(t *testing.T) {
 	}
 }
 
-// TestCheckpointAssembleMatchesEncode: the two-step capture path (EncodeCluster,
-// then Assemble with the obs state) produces the same blob as Encode.
-func TestCheckpointAssembleMatchesEncode(t *testing.T) {
+// multiChipSnapshot is testSnapshot with its chip repeated n times, each
+// copy carrying three memory vectors.
+func multiChipSnapshot(n int) *Snapshot {
 	s := testSnapshot()
-	if !bytes.Equal(Encode(s), Assemble(EncodeCluster(s), s.Obs)) {
-		t.Error("Assemble(EncodeCluster(s), s.Obs) != Encode(s)")
+	chip := s.Chips[0]
+	for k := 1; k < 3; k++ {
+		vs := chip.Mem.Vectors[0]
+		vs.Linear += k
+		chip.Mem.Vectors = append(chip.Mem.Vectors, vs)
+	}
+	s.Chips = make([]tsp.ChipState, n)
+	for i := range s.Chips {
+		s.Chips[i] = chip
+		s.Chips[i].Mem.Vectors = append([]mem.VectorState(nil), chip.Mem.Vectors...)
+	}
+	return s
+}
+
+// TestCheckpointClusterLen: the length functions agree with the encoder.
+// ClusterLen is the cluster section's length (the blob minus framing and
+// a nil obs section's one byte), and the blob is exactly header, cluster
+// section, obs section and checksum.
+func TestCheckpointClusterLen(t *testing.T) {
+	for _, s := range []*Snapshot{testSnapshot(), multiChipSnapshot(5), {}} {
+		withObs := Encode(s)
+		if want := headerLen + ClusterLen(s) + obsLen(s.Obs) + crcLen; len(withObs) != want {
+			t.Errorf("%d chips: blob is %d bytes, length functions give %d", len(s.Chips), len(withObs), want)
+		}
+		bare := *s
+		bare.Obs = nil
+		if got := len(Encode(&bare)) - headerLen - crcLen - 1; got != ClusterLen(s) {
+			t.Errorf("%d chips: cluster section is %d bytes, ClusterLen = %d", len(s.Chips), got, ClusterLen(s))
+		}
+	}
+}
+
+// TestCheckpointEncodeAllocatesOnce: Encode sizes its buffer exactly
+// once. Without obs state the blob is the only allocation; with it, the
+// sorted key tables add a fixed number that does not grow with the chip
+// count. Either way the blob never grows past its first allocation.
+func TestCheckpointEncodeAllocatesOnce(t *testing.T) {
+	bare := multiChipSnapshot(4)
+	bare.Obs = nil
+	if n := testing.AllocsPerRun(20, func() { Encode(bare) }); n != 1 {
+		t.Errorf("Encode of 4 chips without obs: %v allocations, want 1", n)
+	}
+	one, many := multiChipSnapshot(1), multiChipSnapshot(8)
+	a1 := testing.AllocsPerRun(20, func() { Encode(one) })
+	a8 := testing.AllocsPerRun(20, func() { Encode(many) })
+	if a1 != a8 {
+		t.Errorf("Encode allocations grow with chips: %v for 1 chip, %v for 8", a1, a8)
+	}
+	if blob := Encode(many); cap(blob) != len(blob) {
+		t.Errorf("blob capacity %d != length %d", cap(blob), len(blob))
+	}
+}
+
+// TestCheckpointDecodeAllocatesChipsOnce: Decode allocates the chip
+// slice once at its decoded count, and each chip's memory vectors once:
+// eight chips cost exactly seven more allocations than one (the extra
+// chips' vector slices).
+func TestCheckpointDecodeAllocatesChipsOnce(t *testing.T) {
+	one, many := Encode(multiChipSnapshot(1)), Encode(multiChipSnapshot(8))
+	decode := func(blob []byte) func() {
+		return func() {
+			if _, err := Decode(blob); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	a1 := testing.AllocsPerRun(10, decode(one))
+	a8 := testing.AllocsPerRun(10, decode(many))
+	if a8-a1 != 7 {
+		t.Errorf("Decode allocations: %v for 1 chip, %v for 8; want exactly 7 more", a1, a8)
+	}
+	got, err := Decode(many)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, multiChipSnapshot(8)) {
+		t.Error("multi-chip round trip mismatch")
+	}
+}
+
+// goldenSnapshotSHA256 is the SHA-256 of Encode(testSnapshot()) in format
+// version 2. It pins the byte layout itself, not just re-encode stability:
+// any encoder change that moves, widens or reorders a field shows up here.
+const goldenSnapshotSHA256 = "81de0c3a87023c1d2a67ae964965dd23b4abe790e40ff46feb28802fb84c0789"
+
+// TestCheckpointGoldenV2: the version-2 encoding of the test snapshot is
+// byte-identical to the pinned layout.
+func TestCheckpointGoldenV2(t *testing.T) {
+	if Version != 2 {
+		t.Fatalf("Version = %d; a new version needs a new golden hash", Version)
+	}
+	sum := sha256.Sum256(Encode(testSnapshot()))
+	if got := hex.EncodeToString(sum[:]); got != goldenSnapshotSHA256 {
+		t.Errorf("Encode(testSnapshot()) SHA-256 = %s, want %s", got, goldenSnapshotSHA256)
 	}
 }

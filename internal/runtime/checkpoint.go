@@ -14,12 +14,14 @@
 // chips past a due capture (TestCheckpointCadenceMidExtendedWindow).
 //
 // The counter circularity — `checkpoint.bytes` must itself appear in the
-// snapshot's obs section — is resolved by a fixed capture order: encode
-// the cluster section, stamp the checkpoint.* counters and the capture
-// instant, then capture the obs state and assemble the blob. A restored
-// run performs the identical sequence at the identical cycles, so the
-// counter streams (and every later blob) match the straight run byte for
-// byte.
+// snapshot's obs section — is resolved by a fixed capture order: compute
+// the cluster section's length (checkpoint.ClusterLen, a pure function of
+// the snapshot — nothing is encoded yet), stamp the checkpoint.* counters
+// and the capture instant from it, take the obs state, and only then
+// encode the whole blob once, into a buffer of its exact final size. A
+// restored run performs the identical sequence at the identical cycles,
+// so the counter streams (and every later blob) match the straight run
+// byte for byte.
 package runtime
 
 import (
@@ -120,22 +122,23 @@ func (cl *Cluster) DetectLocal() int64 {
 // cadence line.
 func (cl *Cluster) captureCheckpoint(t int64) {
 	snap := cl.buildSnapshot(t)
-	payload := checkpoint.EncodeCluster(snap)
 	cl.rec.Counter("checkpoint.captures").Inc()
-	cl.rec.Counter("checkpoint.bytes").Add(int64(len(payload)))
+	cl.rec.Counter("checkpoint.bytes").Add(int64(checkpoint.ClusterLen(snap)))
 	cl.rec.Gauge("checkpoint.last_capture_cycle").Set(t)
 	if cl.rec != nil {
 		cl.rec.SetThreadName(obs.PidFabric, checkpointTid, "checkpoints")
 		cl.rec.InstantCycles(obs.PidFabric, checkpointTid, "checkpoint.capture", t)
 	}
-	blob := checkpoint.Assemble(payload, cl.rec.State())
-	cl.ckpts = append(cl.ckpts, Stored{Cycle: t, Blob: blob})
+	snap.Obs = cl.rec.State()
+	cl.ckpts = append(cl.ckpts, Stored{Cycle: t, Blob: checkpoint.Encode(snap)})
 	cl.ckptNext = (t/cl.ckptEvery + 1) * cl.ckptEvery
 }
 
 // buildSnapshot assembles the cluster section of a snapshot at run-local
 // cycle t. Called only at window barriers: pending sends are flushed, no
-// chip is faulted.
+// chip is faulted. The snapshot's Chips share the delta baseline
+// cl.ckptPrev rather than copying it, so it is valid only until the next
+// capture: encode it before then.
 func (cl *Cluster) buildSnapshot(t int64) *checkpoint.Snapshot {
 	s := &checkpoint.Snapshot{
 		CaptureCycle:  t,
@@ -164,7 +167,7 @@ func (cl *Cluster) buildSnapshot(t int64) *checkpoint.Snapshot {
 			cl.ckptPrev[i] = ch.StateWithPrev(&cl.ckptPrev[i])
 		}
 	}
-	s.Chips = append(s.Chips, cl.ckptPrev...)
+	s.Chips = cl.ckptPrev
 	for _, mb := range cl.posts {
 		qs := make([][]checkpoint.Envelope, len(mb.queues))
 		for qi := range mb.queues {

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -352,5 +354,91 @@ func TestLadderNoUsableCheckpointFallsBackToCycle0(t *testing.T) {
 	sc.checkResult(t, res)
 	if !strings.Contains(metrics, `"checkpoint.restore_source{source=cycle0}":1`) {
 		t.Error("metrics dump missing the cycle0 restore source")
+	}
+}
+
+// captureChain runs a 3-node ring all-reduce with every capture input
+// armed — a recorder sampling series, a link error process, and a
+// 650-cycle checkpoint cadence — and returns the stored checkpoints and
+// the recorder.
+func captureChain(t *testing.T) ([]Stored, *obs.Recorder) {
+	t.Helper()
+	prev := obs.Get()
+	r := obs.New()
+	r.SetSeriesCadence(650)
+	obs.Set(r)
+	defer obs.Set(prev)
+	cl := buildRing(t, 3, 7, 1, 1)
+	cl.SetBitErrorRate(2e-5, 7)
+	cl.SetSeriesCadence(650)
+	cl.SetCheckpointCadence(650)
+	if _, err := cl.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return cl.Checkpoints(), r
+}
+
+// goldenChainSHA256 is the SHA-256 over every blob captureChain stores,
+// in capture order, in format version 2. It pins what the runtime capture
+// path writes — chip, mailbox, link and obs sections together.
+const goldenChainSHA256 = "7db108fbd49f3166b7122ca85d1cad352c457f9427d5fdf3e877901e03899bdc"
+
+// TestCheckpointGoldenChain: the capture chain's blobs are byte-identical
+// to the pinned version-2 encoding.
+func TestCheckpointGoldenChain(t *testing.T) {
+	store, _ := captureChain(t)
+	if len(store) < 3 {
+		t.Fatalf("captured %d checkpoints, want at least 3", len(store))
+	}
+	last, err := checkpoint.Decode(store[len(store)-1].Blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(last.Links) == 0 || last.Obs == nil || len(last.Obs.Series) == 0 {
+		t.Fatalf("chain does not exercise every section: %d links, obs %v", len(last.Links), last.Obs != nil)
+	}
+	h := sha256.New()
+	for _, st := range store {
+		h.Write(st.Blob)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenChainSHA256 {
+		t.Errorf("capture chain SHA-256 = %s over %d blobs, want %s", got, len(store), goldenChainSHA256)
+	}
+}
+
+// TestCheckpointCaptureMatchesEncode: every blob the runtime capture path
+// stores is exactly checkpoint.Encode of its own decoding — the capture
+// path and the standalone encoder write one format.
+func TestCheckpointCaptureMatchesEncode(t *testing.T) {
+	store, _ := captureChain(t)
+	for i, st := range store {
+		snap, err := checkpoint.Decode(st.Blob)
+		if err != nil {
+			t.Fatalf("checkpoint %d: %v", i, err)
+		}
+		if string(checkpoint.Encode(snap)) != string(st.Blob) {
+			t.Errorf("checkpoint %d: stored blob != Encode(Decode(blob))", i)
+		}
+	}
+}
+
+// TestCheckpointBytesCounterMatchesClusterLen: the checkpoint.bytes
+// counter records exactly the summed cluster-section lengths of the
+// stored blobs, and each blob carries the running total up to itself.
+func TestCheckpointBytesCounterMatchesClusterLen(t *testing.T) {
+	store, r := captureChain(t)
+	var total int64
+	for i, st := range store {
+		snap, err := checkpoint.Decode(st.Blob)
+		if err != nil {
+			t.Fatalf("checkpoint %d: %v", i, err)
+		}
+		total += int64(checkpoint.ClusterLen(snap))
+		if got := snap.Obs.Counters["checkpoint.bytes"]; got != total {
+			t.Errorf("checkpoint %d: stamped checkpoint.bytes = %d, want %d", i, got, total)
+		}
+	}
+	if got := r.State().Counters["checkpoint.bytes"]; got != total {
+		t.Errorf("checkpoint.bytes = %d, want %d", got, total)
 	}
 }

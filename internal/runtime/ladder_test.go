@@ -2,7 +2,10 @@ package runtime
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"reflect"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -20,11 +23,13 @@ import (
 // replayed → heartbeat death detected → failover to the spare → clean run
 // on the remapped TSPs with correct functional output.
 type ladderScenario struct {
-	sys     *topo.System
-	alloc   *Allocation
-	ladder  *Ladder
-	rounds  int
-	workers int
+	sys       *topo.System
+	alloc     *Allocation
+	ladder    *Ladder
+	rounds    int
+	matmuls   int
+	workers   int
+	speculate bool
 }
 
 const ladderDevices = 2 * topo.TSPsPerNode
@@ -81,7 +86,7 @@ func newLadderScenario(t *testing.T, workers int) *ladderScenario {
 // each device's local index, so after a failover the moved devices form
 // the same ring on the spare node's chips.
 func (sc *ladderScenario) build(a *Allocation) (*Cluster, error) {
-	progs, err := RingAllReducePrograms(sc.sys, sc.rounds, 0)
+	progs, err := RingAllReducePrograms(sc.sys, sc.rounds, sc.matmuls)
 	if err != nil {
 		return nil, err
 	}
@@ -95,6 +100,7 @@ func (sc *ladderScenario) build(a *Allocation) (*Cluster, error) {
 		return nil, err
 	}
 	cl.SetWorkers(sc.workers)
+	cl.SetSpeculate(sc.speculate)
 	for d := 0; d < a.Devices(); d++ {
 		v := tsp.VectorOf(contribution(d))
 		chip := cl.Chip(int(a.TSPOf(d)))
@@ -294,5 +300,106 @@ func TestLadderSpareExhaustionSurfaces(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "no spare remaining") && !strings.Contains(err.Error(), "failover") {
 		t.Errorf("unexpected error: %v", err)
+	}
+}
+
+// newEmptyWindowScenario is a plan on which a window can pop only chips
+// past their scheduled death, leaving it with no active chip: a BER
+// excursion forces a replay, and the node death then lands inside the
+// replayed attempt, between two of its window barriers. The ring runs
+// with matmuls at a 1300-cycle checkpoint cadence, under the window
+// executor or the speculative one.
+func newEmptyWindowScenario(t *testing.T, workers int, speculate bool, seed uint64) *ladderScenario {
+	t.Helper()
+	sys, err := topo.New(topo.Config{Nodes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, err := NewAllocation(sys, ladderDevices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &faultplan.Plan{Events: []faultplan.Event{
+		{Cycle: 672, Until: 3272, Kind: faultplan.BERExcursion, Link: 80, BER: 0.002},
+		{Cycle: 3476, Kind: faultplan.NodeDeath, Node: 1},
+	}}
+	compiled, err := plan.Compile(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := &ladderScenario{sys: sys, alloc: alloc, rounds: 7, matmuls: 2, workers: workers, speculate: speculate}
+	sc.ladder = &Ladder{
+		Sys:             sys,
+		Alloc:           alloc,
+		Plan:            compiled,
+		Monitor:         faultplan.NewMonitor(4, 650),
+		Build:           sc.build,
+		MaxReplays:      len(plan.Events) + 1,
+		MaxFailovers:    1,
+		Seed:            seed,
+		CheckpointEvery: 1300,
+	}
+	return sc
+}
+
+// TestLadderEmptyWindowParallel: a window whose popped chips are all past
+// their scheduled death has no active chip, and must be stepped inline
+// rather than handed to the worker pool (which cannot wait on zero
+// chips). With two workers on two OS threads the walk completes, under
+// both window executors, with results byte-identical to one worker.
+func TestLadderEmptyWindowParallel(t *testing.T) {
+	prev := goruntime.GOMAXPROCS(2)
+	defer goruntime.GOMAXPROCS(prev)
+	type outcome struct {
+		sc             *ladderScenario
+		res            *LadderResult
+		trace, metrics string
+	}
+	run := func(workers int, spec bool) outcome {
+		var o outcome
+		o.trace, o.metrics = withRecorder(t, func() {
+			o.sc = newEmptyWindowScenario(t, workers, spec, 7)
+			res, err := o.sc.ladder.Run()
+			if err != nil {
+				t.Fatalf("workers=%d speculate=%v: %v", workers, spec, err)
+			}
+			o.res = res
+		})
+		return o
+	}
+	for _, spec := range []bool{false, true} {
+		base, got := run(1, spec), run(2, spec)
+		label := fmt.Sprintf("speculate=%v", spec)
+		base.sc.checkResult(t, base.res)
+		got.sc.checkResult(t, got.res)
+		if len(got.res.FailedNodes) != 1 || got.res.Failovers != 1 {
+			t.Errorf("%s: failed nodes %v, failovers %d; want the node death to fail over once",
+				label, got.res.FailedNodes, got.res.Failovers)
+		}
+		b, g := *base.res, *got.res
+		b.Cluster, g.Cluster = nil, nil
+		if !reflect.DeepEqual(b, g) {
+			t.Errorf("%s: ladder walk differs from one worker:\n got %+v\nwant %+v", label, g, b)
+		}
+		for c := 0; c < base.sc.sys.NumTSPs(); c++ {
+			if base.res.Cluster.Chip(c).Streams() != got.res.Cluster.Chip(c).Streams() {
+				t.Errorf("%s: chip %d stream file differs from one worker", label, c)
+			}
+		}
+		bs, gs := base.res.Cluster.Checkpoints(), got.res.Cluster.Checkpoints()
+		if len(bs) != len(gs) {
+			t.Fatalf("%s: %d checkpoints, one worker stored %d", label, len(gs), len(bs))
+		}
+		for i := range bs {
+			if string(bs[i].Blob) != string(gs[i].Blob) {
+				t.Errorf("%s: checkpoint %d differs from one worker", label, i)
+			}
+		}
+		if filterParMetrics(t, base.metrics) != filterParMetrics(t, got.metrics) {
+			t.Errorf("%s: metrics dumps differ after filtering window metrics", label)
+		}
+		if filterParTrace(t, base.trace) != filterParTrace(t, got.trace) {
+			t.Errorf("%s: trace dumps differ after filtering window spans", label)
+		}
 	}
 }

@@ -179,7 +179,7 @@ func (cl *Cluster) runParallel(workers int) (int64, error) {
 		// (unless single-threaded on a clean fabric, where direct delivery
 		// is equivalent).
 		cl.buffering = !direct
-		if pool == nil || len(active) == 1 {
+		if pool == nil || len(active) <= 1 {
 			for _, i := range active {
 				nexts[i], oks[i] = cl.stepChip(i, end)
 			}

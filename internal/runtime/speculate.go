@@ -218,7 +218,7 @@ func (cl *Cluster) runSpeculative(workers int) (int64, error) {
 
 		var flushNS int64
 		cl.buffering = !direct
-		if pool == nil || len(active) == 1 {
+		if pool == nil || len(active) <= 1 {
 			for _, i := range active {
 				nexts[i], oks[i] = stepSpec(i, end)
 			}

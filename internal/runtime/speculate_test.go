@@ -376,7 +376,8 @@ func TestSpecPoolUnderRealParallelism(t *testing.T) {
 // The test drives buildSnapshot directly — first capture arms the chain,
 // targeted SRAM mutations dirty a few vectors, the second capture takes
 // the delta path, and a third with the baseline dropped is the full-walk
-// reference.
+// reference. Snapshots share the capture baseline, so each is encoded
+// (with Obs nil, as buildSnapshot leaves it) before the next capture.
 func TestDeltaSnapshotMatchesFullCapture(t *testing.T) {
 	cl := buildRing(t, 2, 7, 1, 1)
 	if _, err := cl.RunSequential(); err != nil {
@@ -387,7 +388,7 @@ func TestDeltaSnapshotMatchesFullCapture(t *testing.T) {
 	if cl.ckptPrev == nil {
 		t.Fatal("first capture did not arm the delta baseline")
 	}
-	full0 := checkpoint.EncodeCluster(first)
+	full0 := checkpoint.Encode(first)
 
 	// Mutate a few chips: an overwrite, a fresh vector, a latent upset,
 	// and a scrub (FlipBit then a corrected read) — every dirty path.
@@ -404,11 +405,11 @@ func TestDeltaSnapshotMatchesFullCapture(t *testing.T) {
 	}
 
 	delta := cl.buildSnapshot(650)
-	deltaBytes := checkpoint.EncodeCluster(delta)
+	deltaBytes := checkpoint.Encode(delta)
 
 	cl.ckptPrev = nil // drop the baseline: next capture is a full walk
 	fullSnap := cl.buildSnapshot(650)
-	fullBytes := checkpoint.EncodeCluster(fullSnap)
+	fullBytes := checkpoint.Encode(fullSnap)
 
 	if bytes.Equal(deltaBytes, full0) {
 		t.Fatal("second capture identical to the first — mutations not captured")
