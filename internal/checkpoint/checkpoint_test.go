@@ -186,7 +186,6 @@ func multiChipSnapshot(n int) *Snapshot {
 	s.Chips = make([]tsp.ChipState, n)
 	for i := range s.Chips {
 		s.Chips[i] = chip
-		s.Chips[i].Mem.Vectors = append([]mem.VectorState(nil), chip.Mem.Vectors...)
 	}
 	return s
 }

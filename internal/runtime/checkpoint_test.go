@@ -408,9 +408,12 @@ func TestCheckpointGoldenChain(t *testing.T) {
 
 // TestCheckpointCaptureMatchesEncode: every blob the runtime capture path
 // stores is exactly checkpoint.Encode of its own decoding — the capture
-// path and the standalone encoder write one format.
+// path and the standalone encoder write one format — and the
+// checkpoint.bytes counter records exactly the summed ClusterLen of the
+// stored snapshots, each blob carrying the running total up to itself.
 func TestCheckpointCaptureMatchesEncode(t *testing.T) {
-	store, _ := captureChain(t)
+	store, r := captureChain(t)
+	var total int64
 	for i, st := range store {
 		snap, err := checkpoint.Decode(st.Blob)
 		if err != nil {
@@ -418,20 +421,6 @@ func TestCheckpointCaptureMatchesEncode(t *testing.T) {
 		}
 		if string(checkpoint.Encode(snap)) != string(st.Blob) {
 			t.Errorf("checkpoint %d: stored blob != Encode(Decode(blob))", i)
-		}
-	}
-}
-
-// TestCheckpointBytesCounterMatchesClusterLen: the checkpoint.bytes
-// counter records exactly the summed cluster-section lengths of the
-// stored blobs, and each blob carries the running total up to itself.
-func TestCheckpointBytesCounterMatchesClusterLen(t *testing.T) {
-	store, r := captureChain(t)
-	var total int64
-	for i, st := range store {
-		snap, err := checkpoint.Decode(st.Blob)
-		if err != nil {
-			t.Fatalf("checkpoint %d: %v", i, err)
 		}
 		total += int64(checkpoint.ClusterLen(snap))
 		if got := snap.Obs.Counters["checkpoint.bytes"]; got != total {
