@@ -282,7 +282,7 @@ var clusterBenchCases = []struct {
 
 // buildBenchCluster constructs and preloads one benchmark cluster. Run
 // consumes cluster state, so each iteration rebuilds (outside the timer).
-func buildBenchCluster(b *testing.B, pipeline bool, nodes, workers int) *rtime.Cluster {
+func buildBenchCluster(b testing.TB, pipeline bool, nodes, workers int) *rtime.Cluster {
 	b.Helper()
 	const waves, matmuls, rounds = 8, 2, 7
 	sys, err := topo.New(topo.Config{Nodes: nodes})
@@ -366,58 +366,30 @@ func BenchmarkClusterRunPar(b *testing.B) {
 	benchClusterRun(b, 4, func(cl *rtime.Cluster) (int64, error) { return cl.Run() })
 }
 
-// BenchmarkClusterRunParWin times the conservative window executor
-// explicitly (RunParallel, 4 workers), bypassing Run's sequential
-// fallback so the window machinery is on the clock even on one core.
-func BenchmarkClusterRunParWin(b *testing.B) {
-	benchClusterRun(b, 4, func(cl *rtime.Cluster) (int64, error) { return cl.RunParallel(4) })
-}
-
-// BenchmarkClusterRunSpec times the speculative window executor
-// explicitly (RunSpeculative, 4 workers, default depth): chips run past
-// the conservative horizon and stalls hand back the remainder at the
-// barrier. Byte-identical to Seq; the interesting read is the delta
-// against ParWin (fewer barriers) and against Seq (machinery overhead).
-func BenchmarkClusterRunSpec(b *testing.B) {
-	benchClusterRun(b, 4, func(cl *rtime.Cluster) (int64, error) {
-		cl.SetSpeculate(true)
-		return cl.RunSpeculative(4)
-	})
-}
-
-// BenchmarkClusterRunByWorkers sweeps worker counts 1/2/4/8 for the
-// explicit conservative and speculative window executors on the 64-chip
-// cells — the scaling record BENCH_cluster.json tracks. On a single-core
-// host the sweep measures scheduling overhead versus worker count; on
-// real parallel hardware it is the multi-core scaling curve.
-func BenchmarkClusterRunByWorkers(b *testing.B) {
-	for _, spec := range []bool{false, true} {
-		exec := "par"
-		if spec {
-			exec = "spec"
-		}
+// BenchmarkClusterRunWindow sweeps the window executor, called
+// explicitly through RunParallel so the window machinery is on the clock
+// even on one core, over depth 1 (conservative) and 4 (speculative) ×
+// workers 1/2/4/8 on the 64-chip cells — the scaling record
+// BENCH_cluster.json tracks. Every cell is byte-identical to Seq; on a
+// single-core host the sweep measures scheduling overhead versus worker
+// count and depth, on real parallel hardware it is the multi-core scaling
+// curve.
+func BenchmarkClusterRunWindow(b *testing.B) {
+	for _, depth := range []int64{1, 4} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			for _, bc := range clusterBenchCases {
 				if bc.nodes != 8 {
 					continue
 				}
-				w := workers
-				s := spec
-				b.Run(fmt.Sprintf("%s/w%d/%s", exec, w, bc.name), func(b *testing.B) {
+				b.Run(fmt.Sprintf("depth%d/w%d/%s", depth, workers, bc.name), func(b *testing.B) {
 					var finish int64
 					for i := 0; i < b.N; i++ {
 						b.StopTimer()
-						cl := buildBenchCluster(b, bc.pipeline, bc.nodes, w)
+						cl := buildBenchCluster(b, bc.pipeline, bc.nodes, workers)
+						cl.SetSpecDepth(depth)
 						runtime.GC()
 						b.StartTimer()
-						var f int64
-						var err error
-						if s {
-							cl.SetSpeculate(true)
-							f, err = cl.RunSpeculative(w)
-						} else {
-							f, err = cl.RunParallel(w)
-						}
+						f, err := cl.RunParallel(workers)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -425,6 +397,32 @@ func BenchmarkClusterRunByWorkers(b *testing.B) {
 					}
 					b.ReportMetric(float64(finish), "finish-cycles")
 				})
+			}
+		}
+	}
+}
+
+// TestParallelDepthOnePartition pins the window loop at depth 1 to the
+// conservative partition: on every benchmark cell, at 1, 2 and 4
+// workers, it cuts 8 windows summing 6165 horizon cycles on the ring
+// all-reduce and 15 windows summing 9550 on the pipeline, with no
+// rollbacks — the same windows the conservative executor has always cut.
+func TestParallelDepthOnePartition(t *testing.T) {
+	for _, bc := range clusterBenchCases {
+		want := rtime.ParStats{Windows: 8, HorizonCycles: 6165}
+		if bc.pipeline {
+			want = rtime.ParStats{Windows: 15, HorizonCycles: 9550}
+		}
+		for _, workers := range []int{1, 2, 4} {
+			cl := buildBenchCluster(t, bc.pipeline, bc.nodes, workers)
+			cl.SetSpecDepth(1)
+			if _, err := cl.RunParallel(workers); err != nil {
+				t.Fatalf("%s w%d: %v", bc.name, workers, err)
+			}
+			got := cl.ParStats()
+			got.BarrierNS = 0 // wall time
+			if got != want {
+				t.Errorf("%s w%d: window stats %+v, want %+v", bc.name, workers, got, want)
 			}
 		}
 	}

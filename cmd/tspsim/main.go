@@ -91,10 +91,6 @@ import (
 // work out themselves (serve sweeps, the par demo). Reset by run().
 var workersN = 1
 
-// speculateN is the -speculate flag value after validation (false when
-// -workers 1 forced the sequential fallback). Reset by run().
-var speculateN = false
-
 // checkpointEveryN is the -checkpoint-every flag value: the epoch-barrier
 // checkpoint cadence in cycles armed on the recovery-ladder experiments
 // (0 = off, replays restart from cycle 0). Reset by run().
@@ -158,8 +154,7 @@ func run(argv []string, errw io.Writer) int {
 	metricsPath := fs.String("metrics", "", "write the flat metrics JSON here")
 	workers := fs.Int("workers", 1, "cluster executor parallelism: 1 = sequential, n>1 = deterministic window-parallel execution")
 	windowMax := fs.Int64("window-max", 0, "cap on the window-parallel executor's adaptive lookahead horizon in cycles (0 = uncapped; otherwise >= one 650-cycle hop; 650 reproduces the fixed one-hop windows)")
-	speculate := fs.Bool("speculate", false, "run chips optimistically past the conservative window horizon (requires -workers > 1; every simulated observable stays byte-identical)")
-	specDepth := fs.Int64("speculate-depth", 4, "speculative window depth in 650-cycle hops past the conservative horizon (>= 1)")
+	specDepth := fs.Int64("speculate-depth", 1, "window depth in 650-cycle hops: 1 = conservative windows, n > 1 runs chips speculatively up to n hops past each window's start (needs -workers > 1; every simulated observable stays byte-identical)")
 	ckptEvery := fs.Int64("checkpoint-every", 0, "epoch-barrier checkpoint cadence in cycles for the recovery-ladder experiments (0 = off: replays restart from cycle 0)")
 	fleetDrainThr := fs.Float64("fleet-drain-threshold", 0, "predictive-drain indicator threshold for the fleet experiment's policy ablation (0 = the stressed scenario's default)")
 	fleetCadMin := fs.Float64("fleet-cadence-min", 0, "adaptive checkpoint cadence floor in µs for the fleet experiment's policy ablation (0 = scenario default)")
@@ -218,15 +213,15 @@ func run(argv []string, errw io.Writer) int {
 		return 2
 	}
 	if *specDepth < 1 {
-		fmt.Fprintf(errw, "-speculate-depth must be >= 1 (hops past the conservative horizon), got %d\n", *specDepth)
+		fmt.Fprintf(errw, "-speculate-depth must be >= 1 (1 = conservative windows), got %d\n", *specDepth)
 		fs.Usage()
 		return 2
 	}
-	if *speculate && *workers == 1 {
-		// Speculation at one worker is the sequential schedule by
-		// definition — note it and run the sequential path.
-		fmt.Fprintln(errw, "note: -speculate needs -workers > 1; falling back to the sequential executor")
-		*speculate = false
+	if *specDepth > 1 && *workers == 1 {
+		// Speculation at one worker has nothing to overlap with — note it
+		// and run the sequential path.
+		fmt.Fprintln(errw, "note: -speculate-depth > 1 needs -workers > 1; falling back to the sequential executor")
+		*specDepth = 1
 	}
 	if *fleetDrainThr < 0 {
 		fmt.Fprintf(errw, "-fleet-drain-threshold must be >= 0 (0 = scenario default), got %g\n", *fleetDrainThr)
@@ -249,21 +244,17 @@ func run(argv []string, errw io.Writer) int {
 	fleetDrainThresholdN = *fleetDrainThr
 	fleetCadenceMinN = *fleetCadMin
 	fleetCadenceMaxN = *fleetCadMax
-	speculateN = *speculate
 	prevWorkers := rtime.SetDefaultWorkers(*workers)
 	prevWindowMax := rtime.SetDefaultWindowMax(*windowMax)
-	prevSpeculate := rtime.SetDefaultSpeculate(*speculate)
 	prevSpecDepth := rtime.SetDefaultSpecDepth(*specDepth)
 	defer func() {
 		workersN = 1
-		speculateN = false
 		checkpointEveryN = 0
 		fleetDrainThresholdN = 0
 		fleetCadenceMinN = 0
 		fleetCadenceMaxN = 0
 		rtime.SetDefaultWorkers(prevWorkers)
 		rtime.SetDefaultWindowMax(prevWindowMax)
-		rtime.SetDefaultSpeculate(prevSpeculate)
 		rtime.SetDefaultSpecDepth(prevSpecDepth)
 	}()
 
@@ -1158,17 +1149,19 @@ func serveExp() error {
 	return nil
 }
 
-// parExp demonstrates the conservative window-parallel cluster executor:
-// the same 16-chip ring all-reduce workload runs once on the sequential
-// min-heap executor and once window-parallel, and the results — finish
-// cycle, every stream register, the reduced sums — must match exactly.
-// The lookahead window is at least one C2C hop (650 cycles): a send
-// issued inside a window cannot land before the window ends, so chips
-// within a window are causally independent and free to step concurrently.
-// The horizon is adaptive — each window extends to one hop past the
-// earliest statically possible Send — and a second, compute-heavy
-// pipeline workload shows the resulting barrier-count collapse against a
-// -window-max=650 fixed-window baseline.
+// parExp demonstrates the window-parallel cluster executor: the same
+// 16-chip ring all-reduce workload runs once on the sequential min-heap
+// executor and once per window depth, and the results — finish cycle,
+// every stream register, the reduced sums — must match exactly. At depth
+// 1 (conservative) the lookahead window is at least one C2C hop (650
+// cycles): a send issued inside a window cannot land before the window
+// ends, so chips within a window are causally independent and free to
+// step concurrently. Deeper windows run chips speculatively past that
+// bound and pay rollbacks for fewer barriers. The horizon is adaptive —
+// each window extends to one hop past the earliest statically possible
+// Send — and a second, compute-heavy pipeline workload shows the
+// resulting barrier-count collapse against a -window-max=650 fixed-window
+// baseline.
 func parExp() error {
 	fmt.Println("window-parallel executor — schedule-aware adaptive lookahead")
 	sys, err := topo.New(topo.Config{Nodes: 2})
@@ -1197,7 +1190,8 @@ func parExp() error {
 	if workers < 2 {
 		workers = 4
 	}
-	if g := goruntime.GOMAXPROCS(0); g < workers {
+	g := goruntime.GOMAXPROCS(0)
+	if g < workers {
 		fmt.Printf("note: GOMAXPROCS=%d < %d workers — the pool spawns only the\n", g, workers)
 		fmt.Printf("parallelism the scheduler can deliver; results are identical either way\n")
 	}
@@ -1206,36 +1200,18 @@ func parExp() error {
 		return err
 	}
 	t0 := time.Now()
-	seqFinish, seqErr := seq.Run()
+	seqFinish, err := seq.Run()
 	seqWall := time.Since(t0)
-	par, err := build(workers)
 	if err != nil {
-		return err
+		return fmt.Errorf("par: sequential run failed: %v", err)
 	}
-	// RunParallel explicitly: this section demos the window executor, and
-	// plain Run would route a 1-core, recorder-less configuration to the
-	// sequential executor instead of timing windows.
-	t0 = time.Now()
-	parFinish, parErr := par.RunParallel(workers)
-	parWall := time.Since(t0)
-	spec, err := build(workers)
-	if err != nil {
-		return err
-	}
-	spec.SetSpeculate(true)
-	t0 = time.Now()
-	specFinish, specErr := spec.RunSpeculative(workers)
-	specWall := time.Since(t0)
-	if seqErr != nil || parErr != nil || specErr != nil {
-		return fmt.Errorf("par: run failed (seq=%v par=%v spec=%v)", seqErr, parErr, specErr)
-	}
-	identical := seqFinish == parFinish && seqFinish == specFinish
-	for c := 0; c < sys.NumTSPs() && identical; c++ {
-		identical = seq.Chip(c).Streams() == par.Chip(c).Streams() &&
-			seq.Chip(c).Streams() == spec.Chip(c).Streams() &&
-			seq.Chip(c).FinishCycle() == par.Chip(c).FinishCycle() &&
-			seq.Chip(c).FinishCycle() == spec.Chip(c).FinishCycle()
-	}
+	fmt.Printf("workload: %d-chip ring all-reduce, %d rounds, %d matmuls/round\n",
+		sys.NumTSPs(), rounds, matmuls)
+	fmt.Printf("lookahead floor: %d cycles (one C2C hop), horizon adaptive\n", route.HopCycles)
+	fmt.Printf("%-10s %5s %10s %7s %8s %9s %13s %10s %12s\n",
+		"executor", "depth", "gomaxprocs", "workers", "windows", "rollbacks", "rollback_rate", "finish", "wall")
+	fmt.Printf("%-10s %5s %10d %7d %8s %9s %13s %10d %12v\n",
+		"sequential", "-", g, 1, "-", "-", "-", seqFinish, seqWall)
 	// After 7 rounds of the 8-chip ring, RingAcc is the node sum.
 	sums := make([]float32, sys.NumNodes())
 	for n := range sums {
@@ -1243,27 +1219,37 @@ func parExp() error {
 			sums[n] += float32(n*topo.TSPsPerNode + local + 1)
 		}
 	}
-	reduced := true
-	for c := 0; c < sys.NumTSPs() && reduced; c++ {
-		acc := par.Chip(c).StreamFloats(rtime.RingAcc)
-		reduced = acc[0] == sums[c/topo.TSPsPerNode]
+	identical, reduced := true, true
+	var stats []rtime.ParStats
+	for _, depth := range []int64{1, 4} {
+		cl, err := build(workers)
+		if err != nil {
+			return err
+		}
+		cl.SetSpecDepth(depth)
+		// RunParallel explicitly: this section demos the window executor,
+		// and plain Run would route a 1-core, recorder-less configuration
+		// to the sequential executor instead of timing windows.
+		t0 = time.Now()
+		finish, err := cl.RunParallel(workers)
+		wall := time.Since(t0)
+		if err != nil {
+			return fmt.Errorf("par: depth %d run failed: %v", depth, err)
+		}
+		identical = identical && finish == seqFinish
+		for c := 0; c < sys.NumTSPs(); c++ {
+			identical = identical && seq.Chip(c).Streams() == cl.Chip(c).Streams() &&
+				seq.Chip(c).FinishCycle() == cl.Chip(c).FinishCycle()
+			reduced = reduced && cl.Chip(c).StreamFloats(rtime.RingAcc)[0] == sums[c/topo.TSPsPerNode]
+		}
+		ps := cl.ParStats()
+		stats = append(stats, ps)
+		fmt.Printf("%-10s %5d %10d %7d %8d %9d %13.4f %10d %12v\n",
+			"window", depth, g, workers, ps.Windows, ps.Rollbacks, rollbackRate(ps), finish, wall)
 	}
-	ps, ss := par.ParStats(), spec.SpecStats()
-	g := goruntime.GOMAXPROCS(0)
-	fmt.Printf("workload: %d-chip ring all-reduce, %d rounds, %d matmuls/round\n",
-		sys.NumTSPs(), rounds, matmuls)
-	fmt.Printf("lookahead floor: %d cycles (one C2C hop), horizon adaptive\n", route.HopCycles)
-	fmt.Printf("%-13s %10s %7s %8s %9s %13s %10s %12s\n",
-		"executor", "gomaxprocs", "workers", "windows", "rollbacks", "rollback_rate", "finish", "wall")
-	fmt.Printf("%-13s %10d %7d %8s %9s %13s %10d %12v\n",
-		"sequential", g, 1, "-", "-", "-", seqFinish, seqWall)
-	fmt.Printf("%-13s %10d %7d %8d %9s %13s %10d %12v\n",
-		"conservative", g, workers, ps.Windows, "-", "-", parFinish, parWall)
-	fmt.Printf("%-13s %10d %7d %8d %9d %13.4f %10d %12v\n",
-		"speculative", g, workers, ss.Windows, ss.Rollbacks, rollbackRate(ss), specFinish, specWall)
-	fmt.Printf("conservative windows: %d, mean horizon %.0f cycles, barrier time %v\n",
-		ps.Windows, meanHorizon(ps), time.Duration(ps.BarrierNS))
-	fmt.Printf("speculative wasted cycles (speculated then handed back): %d\n", ss.WastedCycles)
+	fmt.Printf("depth-1 (conservative) windows: %d, mean horizon %.0f cycles, barrier time %v\n",
+		stats[0].Windows, meanHorizon(stats[0]), time.Duration(stats[0].BarrierNS))
+	fmt.Printf("depth-4 wasted cycles (speculated then handed back): %d\n", stats[1].WastedCycles)
 	fmt.Printf("state byte-identical: %v   all-reduce sums correct: %v\n", identical, reduced)
 	if !identical || !reduced {
 		return fmt.Errorf("par: executor equivalence violated")
@@ -1282,27 +1268,26 @@ func meanHorizon(ps rtime.ParStats) float64 {
 	return float64(ps.HorizonCycles) / float64(ps.Windows)
 }
 
-// rollbackRate is the fraction of speculative windows in which at least
-// one chip stalled and handed back its speculated remainder.
-func rollbackRate(ss rtime.SpecStats) float64 {
-	if ss.Windows == 0 {
+// rollbackRate is the number of rollbacks per window: re-dispatches of
+// chips that stalled on a Recv and handed back their speculated remainder.
+func rollbackRate(ps rtime.ParStats) float64 {
+	if ps.Windows == 0 {
 		return 0
 	}
-	return float64(ss.Rollbacks) / float64(ss.Windows)
+	return float64(ps.Rollbacks) / float64(ps.Windows)
 }
 
-// execStats reads the executor's volatile window/speculation bookkeeping
-// back out of the recorder for the profiler. Volatile counters never reach
-// the deterministic state dump, so the profiler receives them out of band.
+// execStats reads the executor's volatile window bookkeeping back out of
+// the recorder for the profiler. Volatile counters never reach the
+// deterministic state dump, so the profiler receives them out of band.
 func execStats(rec *obs.Recorder) prof.ExecStats {
 	return prof.ExecStats{
 		ParWindows:       rec.VolatileValue("runtime.par.windows"),
 		ParHorizonCycles: rec.VolatileValue("runtime.par.horizon_cycles"),
 		ParWindowChips:   rec.VolatileValue("runtime.par.window_chips"),
 		ParBarrierStalls: rec.VolatileValue("runtime.par.barrier_stalls"),
-		SpecWindows:      rec.VolatileValue("runtime.spec.windows"),
-		SpecRollbacks:    rec.VolatileValue("runtime.spec.rollbacks"),
-		SpecWastedCycles: rec.VolatileValue("runtime.spec.wasted_cycles"),
+		ParRollbacks:     rec.VolatileValue("runtime.par.rollbacks"),
+		ParWastedCycles:  rec.VolatileValue("runtime.par.wasted_cycles"),
 	}
 }
 
@@ -1330,6 +1315,7 @@ func parWindowCollapse(workers int) error {
 		}
 		cl.SetWorkers(workers)
 		cl.SetWindowMax(windowMax)
+		cl.SetSpecDepth(1)
 		finish, err := cl.RunParallel(workers)
 		return cl, finish, err
 	}
@@ -1364,7 +1350,7 @@ func parWindowCollapse(workers int) error {
 	// depth. Deeper windows mean fewer barriers but more speculated cycles
 	// handed back when a Recv's data has not been committed yet.
 	fmt.Println()
-	fmt.Println("speculative windows — rollback rate vs depth (same pipeline)")
+	fmt.Println("window depth — rollback rate vs depth (same pipeline; depth 1 = conservative)")
 	fmt.Printf("%-6s %10s %7s %8s %9s %13s %10s\n",
 		"depth", "gomaxprocs", "workers", "windows", "rollbacks", "rollback_rate", "finish")
 	g := goruntime.GOMAXPROCS(0)
@@ -1374,23 +1360,22 @@ func parWindowCollapse(workers int) error {
 			return err
 		}
 		cl.SetWorkers(workers)
-		cl.SetSpeculate(true)
 		cl.SetSpecDepth(depth)
-		finish, err := cl.RunSpeculative(workers)
+		finish, err := cl.RunParallel(workers)
 		if err != nil {
 			return err
 		}
 		if finish != adaptiveFinish {
-			return fmt.Errorf("par: speculative depth %d finish %d != adaptive finish %d", depth, finish, adaptiveFinish)
+			return fmt.Errorf("par: depth %d finish %d != adaptive finish %d", depth, finish, adaptiveFinish)
 		}
 		for c := 0; c < sys.NumTSPs(); c++ {
 			if cl.Chip(c).Streams() != adaptive.Chip(c).Streams() {
-				return fmt.Errorf("par: chip %d state diverged under speculation depth %d", c, depth)
+				return fmt.Errorf("par: chip %d state diverged at depth %d", c, depth)
 			}
 		}
-		ss := cl.SpecStats()
+		ps := cl.ParStats()
 		fmt.Printf("%-6d %10d %7d %8d %9d %13.4f %10d\n",
-			depth, g, workers, ss.Windows, ss.Rollbacks, rollbackRate(ss), finish)
+			depth, g, workers, ps.Windows, ps.Rollbacks, rollbackRate(ps), finish)
 	}
 	return nil
 }

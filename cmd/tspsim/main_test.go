@@ -140,10 +140,10 @@ func TestBadWindowMaxRejected(t *testing.T) {
 	}
 }
 
-// TestBadSpeculateFlagsRejected: a zero or negative speculation depth is
-// a usage error (exit 2 with the usage text), while -speculate with
-// -workers 1 is legal but meaningless — it prints a note and falls back
-// to the sequential executor instead of failing.
+// TestBadSpeculateFlagsRejected: a zero or negative window depth is a
+// usage error (exit 2 with the usage text), while -speculate-depth > 1
+// with -workers 1 is legal but meaningless — it prints a note and falls
+// back to the sequential executor instead of failing.
 func TestBadSpeculateFlagsRejected(t *testing.T) {
 	muteStdout(t)
 	cases := []struct {
@@ -152,10 +152,10 @@ func TestBadSpeculateFlagsRejected(t *testing.T) {
 		want string
 	}{
 		{"zero depth",
-			[]string{"-exp", "fig11", "-speculate", "-workers", "2", "-speculate-depth", "0"},
+			[]string{"-exp", "fig11", "-workers", "2", "-speculate-depth", "0"},
 			"-speculate-depth must be >= 1"},
 		{"negative depth",
-			[]string{"-exp", "fig11", "-speculate", "-workers", "2", "-speculate-depth", "-3"},
+			[]string{"-exp", "fig11", "-workers", "2", "-speculate-depth", "-3"},
 			"-speculate-depth must be >= 1"},
 	}
 	for _, tc := range cases {
@@ -172,16 +172,26 @@ func TestBadSpeculateFlagsRejected(t *testing.T) {
 	}
 }
 
-// TestSpeculateSingleWorkerFallsBack: -speculate -workers 1 runs the
-// experiment on the sequential path, succeeding with a printed note.
+// TestSpeculateSingleWorkerFallsBack: -speculate-depth 4 -workers 1 runs
+// the experiment on the sequential path, succeeding with a printed note;
+// the default depth 1 at one worker prints no note, and the dropped
+// -speculate bool is an unknown flag.
 func TestSpeculateSingleWorkerFallsBack(t *testing.T) {
 	muteStdout(t)
 	var errw bytes.Buffer
-	if code := run([]string{"-exp", "fig11", "-speculate", "-workers", "1"}, &errw); code != 0 {
+	if code := run([]string{"-exp", "fig11", "-speculate-depth", "4", "-workers", "1"}, &errw); code != 0 {
 		t.Fatalf("exit code = %d, want 0; stderr:\n%s", code, errw.String())
 	}
 	if !strings.Contains(errw.String(), "falling back to the sequential executor") {
 		t.Errorf("stderr missing the fallback note:\n%s", errw.String())
+	}
+	errw.Reset()
+	if code := run([]string{"-exp", "fig11", "-workers", "1"}, &errw); code != 0 || strings.Contains(errw.String(), "falling back") {
+		t.Errorf("default depth at one worker: exit %d, stderr:\n%s", code, errw.String())
+	}
+	errw.Reset()
+	if code := run([]string{"-exp", "fig11", "-speculate", "-workers", "2"}, &errw); code != 2 {
+		t.Errorf("-speculate: exit code = %d, want 2 (flag removed); stderr:\n%s", code, errw.String())
 	}
 }
 

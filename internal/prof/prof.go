@@ -32,17 +32,16 @@ import (
 // These values are volatile — they describe how the host executor cut
 // windows, not the simulated machine — so they never appear in the
 // obs.State the rest of the report is built from; the caller reads them
-// from runtime.Cluster.ParStats()/SpecStats() and passes them here.
+// from the recorder's runtime.par.* volatile counters and passes them here.
 type ExecStats struct {
-	// Conservative/speculative window machinery (zero = sequential run).
+	// Window machinery (zero = sequential run). Rollbacks and wasted
+	// cycles stay zero at window depth 1.
 	ParWindows       int64
 	ParHorizonCycles int64
 	ParWindowChips   int64
 	ParBarrierStalls int64
-	// Speculation (zero = conservative or sequential run).
-	SpecWindows      int64
-	SpecRollbacks    int64
-	SpecWastedCycles int64
+	ParRollbacks     int64
+	ParWastedCycles  int64
 }
 
 // Options tunes report shape; the zero value is a sensible default.
@@ -135,20 +134,11 @@ type Report struct {
 	// Window-parallel executor statistics (zero when the run used the
 	// sequential executor): lookahead window count, summed adaptive
 	// horizons (mean horizon = ParHorizonCycles/ParWindows), chip-window
-	// occupancy events, and barriers at which runnable chips stalled.
-	// Copied from Options.Exec — the executor's volatile bookkeeping —
-	// because none of it lives in the deterministic obs.State.
-	ParWindows       int64
-	ParHorizonCycles int64
-	ParWindowChips   int64
-	ParBarrierStalls int64
-
-	// Speculative executor statistics (zero for conservative/sequential
-	// runs): windows run, stall transitions (rollbacks), and speculated
-	// cycles handed back at stalls.
-	SpecWindows      int64
-	SpecRollbacks    int64
-	SpecWastedCycles int64
+	// occupancy events, barriers at which runnable chips stalled,
+	// rollbacks, and the window cycles rollbacks handed back. Copied from
+	// Options.Exec — the executor's volatile bookkeeping — because none of
+	// it lives in the deterministic obs.State.
+	ExecStats
 
 	opt Options
 }
@@ -219,13 +209,7 @@ func Analyze(st *obs.State, opt Options) (*Report, error) {
 	// Window-parallel executor telemetry is volatile (it depends on the
 	// host partition, not the simulated machine) and never reaches the
 	// state dump; the caller hands it over via Options.Exec.
-	r.ParWindows = opt.Exec.ParWindows
-	r.ParHorizonCycles = opt.Exec.ParHorizonCycles
-	r.ParWindowChips = opt.Exec.ParWindowChips
-	r.ParBarrierStalls = opt.Exec.ParBarrierStalls
-	r.SpecWindows = opt.Exec.SpecWindows
-	r.SpecRollbacks = opt.Exec.SpecRollbacks
-	r.SpecWastedCycles = opt.Exec.SpecWastedCycles
+	r.ExecStats = opt.Exec
 	return r, nil
 }
 

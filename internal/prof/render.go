@@ -71,12 +71,11 @@ func (r *Report) Render(w io.Writer) error {
 		fmt.Fprintf(&b, "barrier stalls: %d windows left runnable chips waiting\n", r.ParBarrierStalls)
 	}
 
-	if r.SpecWindows > 0 {
+	if r.ParRollbacks > 0 {
 		fmt.Fprintf(&b, "\n-- speculation / rollback --\n")
-		fmt.Fprintf(&b, "speculative windows: %d  rollbacks: %d  rollback rate: %.4f\n",
-			r.SpecWindows, r.SpecRollbacks,
-			float64(r.SpecRollbacks)/float64(r.SpecWindows))
-		fmt.Fprintf(&b, "wasted cycles (speculated then handed back): %d\n", r.SpecWastedCycles)
+		fmt.Fprintf(&b, "rollbacks: %d  rollback rate: %.4f per window\n",
+			r.ParRollbacks, float64(r.ParRollbacks)/float64(r.ParWindows))
+		fmt.Fprintf(&b, "wasted cycles (speculated then handed back): %d\n", r.ParWastedCycles)
 	}
 
 	if len(r.Path) > 0 {

@@ -2,11 +2,11 @@ package runtime
 
 import (
 	"bytes"
+	"fmt"
 	goruntime "runtime"
 	"testing"
 
 	"repro/internal/checkpoint"
-	"repro/internal/faultplan"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -26,9 +26,8 @@ func runPar(cl *Cluster, workers int, windowMax int64) (int64, error) {
 // TestAdaptiveMatchesFixedAndSequential is the tentpole equivalence: the
 // adaptive horizon changes how many barriers a run takes and nothing
 // else. Across workloads and worker counts, sequential, fixed-650, and
-// uncapped-adaptive runs must agree on every simulated observable, and
-// the metrics dumps must agree once the partition-dependent runtime.par.*
-// window metrics are filtered.
+// uncapped-adaptive runs must agree on every simulated observable,
+// metrics dumps included.
 func TestAdaptiveMatchesFixedAndSequential(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -63,12 +62,11 @@ func TestAdaptiveMatchesFixedAndSequential(t *testing.T) {
 				})
 				assertSameResult(t, name+"/fixed", seq, fixed, seqF, fixF, seqE, fixE, addrs)
 				assertSameResult(t, name+"/adaptive", seq, adaptive, seqF, adaF, seqE, adaE, addrs)
-				want := filterParMetrics(t, seqM)
-				if filterParMetrics(t, fixM) != want {
-					t.Errorf("%s: fixed metrics differ from sequential after filtering", name)
+				if fixM != seqM {
+					t.Errorf("%s: fixed metrics differ from sequential", name)
 				}
-				if filterParMetrics(t, adaM) != want {
-					t.Errorf("%s: adaptive metrics differ from sequential after filtering", name)
+				if adaM != seqM {
+					t.Errorf("%s: adaptive metrics differ from sequential", name)
 				}
 				if fw, aw := fixed.ParStats().Windows, adaptive.ParStats().Windows; aw > fw {
 					t.Errorf("%s: adaptive took %d windows, more than fixed's %d", name, aw, fw)
@@ -146,12 +144,14 @@ func boundaryCluster(t *testing.T, workers int, recvAt int64) *Cluster {
 	return cl
 }
 
-// TestAdaptiveBoundarySendCausality: the send issues at cycle 100 (its
-// exact bound), arrives at 750, and the adaptive window computed at the
-// first barrier ends at exactly 750 — so a Recv at 750 must land in the
-// next window and succeed, on every executor and worker count. A Recv
-// one cycle earlier must underflow identically everywhere.
-func TestAdaptiveBoundarySendCausality(t *testing.T) {
+// checkBoundarySendCausality: the send issues at cycle 100 (its exact
+// bound), arrives at 750, and the adaptive window computed at the first
+// barrier ends at exactly 750 — so a Recv at 750 must land in the next
+// window and succeed at every worker count of the given depth (a deeper
+// window runs the Recv in the same window, where the stall machinery
+// parks the receiver until the barrier flush). A Recv one cycle earlier
+// must underflow identically everywhere.
+func checkBoundarySendCausality(t *testing.T, depth int64) {
 	const arrival = 100 + int64(route.HopCycles)
 	want := tsp.VectorOf([]float32{42, -7, 3.5})
 
@@ -163,15 +163,6 @@ func TestAdaptiveBoundarySendCausality(t *testing.T) {
 	if got := seq.Chip(1).Stream(3); got != want {
 		t.Fatalf("sequential: received vector differs")
 	}
-	for _, workers := range []int{1, 2, 8} {
-		par := boundaryCluster(t, workers, arrival)
-		parF, parE := par.RunParallel(workers)
-		assertSameResult(t, "boundary", seq, par, seqF, parF, seqE, parE, nil)
-		if got := par.Chip(1).Stream(3); got != want {
-			t.Errorf("workers=%d: received vector differs (window admitted the recv before the flush?)", workers)
-		}
-	}
-
 	// One cycle before the hop completes: the schedule lies, and every
 	// executor must report the identical underflow fault.
 	seqEarly := boundaryCluster(t, 1, arrival-1)
@@ -181,71 +172,31 @@ func TestAdaptiveBoundarySendCausality(t *testing.T) {
 		t.Fatalf("sequential early recv: want underflow, got %v", seqErr)
 	}
 	for _, workers := range []int{1, 2, 8} {
+		par := boundaryCluster(t, workers, arrival)
+		par.SetSpecDepth(depth)
+		parF, parE := par.RunParallel(workers)
+		assertSameResult(t, fmt.Sprintf("boundary/depth%d", depth), seq, par, seqF, parF, seqE, parE, nil)
+		if got := par.Chip(1).Stream(3); got != want {
+			t.Errorf("depth %d workers %d: received vector differs (window admitted the recv before the flush?)", depth, workers)
+		}
+
 		parEarly := boundaryCluster(t, workers, arrival-1)
+		parEarly.SetSpecDepth(depth)
 		_, parErr := parEarly.RunParallel(workers)
 		pf, ok := parErr.(*tsp.Fault)
 		if !ok || pf.Kind != sf.Kind || pf.Cycle != sf.Cycle || pf.Instr != sf.Instr {
-			t.Errorf("workers=%d: fault differs: seq %v, par %v", workers, seqErr, parErr)
+			t.Errorf("depth %d workers %d: fault differs: seq %v, par %v", depth, workers, seqErr, parErr)
 		}
 	}
 }
 
-// TestFaultAtAdaptiveBarrier pins fault cycles that coincide with window
-// barriers and cadence lines: a chip scheduled to die exactly on a hop
-// boundary (and one mid-window) must yield the same error, finish, and
-// surviving state across the sequential executor and every worker count,
-// with adaptive horizons extending over the death cycle.
-func TestFaultAtAdaptiveBarrier(t *testing.T) {
-	for _, deathCycle := range []int64{2 * int64(route.HopCycles), 1955} {
-		build := func(workers int) *Cluster {
-			cl := buildRing(t, 2, 7, 1, workers)
-			plan := &faultplan.Plan{Events: []faultplan.Event{
-				{Cycle: deathCycle, Kind: faultplan.StuckChip, Chip: 3},
-			}}
-			compiled, err := plan.Compile(cl.sys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cl.SetFaultPlan(compiled, 0, 1)
-			return cl
-		}
-		seq := build(1)
-		seqF, seqE := seq.RunSequential()
-		if seqE == nil {
-			t.Fatalf("death at %d: expected a failover error", deathCycle)
-		}
-		// Against the sequential executor only the abandonment identity is
-		// promised on a faulted run (a window steps surviving chips to the
-		// horizon before the barrier surfaces the fault): same error, same
-		// finish cycle. Across worker counts everything must match,
-		// including the full dumps.
-		var refTrace, refMetrics string
-		var refPar *Cluster
-		for i, workers := range []int{1, 2, 8} {
-			var par *Cluster
-			var parF int64
-			var parE error
-			trace, metrics := withRecorder(t, func() {
-				par = build(workers)
-				parF, parE = par.RunParallel(workers)
-			})
-			if parF != seqF {
-				t.Errorf("death %d workers %d: finish %d != sequential %d", deathCycle, workers, parF, seqF)
-			}
-			if parE == nil || seqE.Error() != parE.Error() {
-				t.Errorf("death %d workers %d: error %v != sequential %v", deathCycle, workers, parE, seqE)
-			}
-			if i == 0 {
-				refTrace, refMetrics, refPar = trace, metrics, par
-				continue
-			}
-			if trace != refTrace || metrics != refMetrics {
-				t.Errorf("death %d workers %d: dumps differ from workers=1", deathCycle, workers)
-			}
-			assertSameResult(t, "fault-at-barrier", refPar, par, seqF, parF, seqE, parE, nil)
-		}
-	}
-}
+// TestAdaptiveBoundarySendCausality runs the exact-boundary send check on
+// the conservative window loop (depth 1).
+func TestAdaptiveBoundarySendCausality(t *testing.T) { checkBoundarySendCausality(t, 1) }
+
+// TestSpecBoundarySendCausality runs it speculatively (depth 4), where the
+// Recv at 750 falls inside the window and must stall until the flush.
+func TestSpecBoundarySendCausality(t *testing.T) { checkBoundarySendCausality(t, 4) }
 
 // withSeriesRecorder is withRecorder with a sampling cadence armed before
 // the cluster is built, returning the series dump too.
@@ -270,26 +221,29 @@ func withSeriesRecorder(t *testing.T, every int64, f func()) (trace, metrics, se
 	return tb.String(), mb.String(), sb.String()
 }
 
-// TestCheckpointCadenceMidExtendedWindow: on the compute-heavy pipeline
-// the schedule-derived horizon (~4000 cycles) dwarfs a 650-cycle
-// checkpoint cadence and a 1300-cycle series cadence. Window ends must
-// clamp to the cadence lines so every capture still fires, once per
-// line, with byte-identical dumps and blobs across worker counts — and a
-// snapshot captured mid-collapsed-phase must restore and finish to the
-// straight run's exact state.
-func TestCheckpointCadenceMidExtendedWindow(t *testing.T) {
+// checkCadenceMidWindow: on the compute-heavy pipeline the
+// schedule-derived horizon (~4000 cycles) dwarfs a 650-cycle checkpoint
+// cadence and a 1300-cycle series cadence. Window ends must clamp to the
+// cadence lines at the given depth so every capture still fires, once per
+// line, with dumps and blobs byte-identical to the one-worker depth-1 run
+// across worker counts — and a snapshot captured mid-collapsed-phase must
+// restore and finish to the straight run's exact state (exercising the
+// delta-capture baseline invalidation on restore).
+func checkCadenceMidWindow(t *testing.T, depth int64) {
 	const ckptEvery, seriesEvery = 650, 1300
-	build := func(workers int) *Cluster {
+	build := func(workers int, d int64) *Cluster {
 		cl := buildPipeline(t, 1, 3, 50, workers)
 		cl.SetCheckpointCadence(ckptEvery)
+		cl.SetSpecDepth(d)
 		return cl
 	}
+	addrs := []mem.Addr{{Offset: 0}, {Offset: 1}, {Offset: 2}}
 
 	var straight *Cluster
 	var sF int64
 	var sE error
 	sTrace, sMetrics, sSeries := withSeriesRecorder(t, seriesEvery, func() {
-		straight = build(1)
+		straight = build(1, 1)
 		sF, sE = straight.Run()
 	})
 	if sE != nil {
@@ -302,76 +256,89 @@ func TestCheckpointCadenceMidExtendedWindow(t *testing.T) {
 		t.Fatalf("%d checkpoints for a %d-cycle run at cadence %d (cadence lines skipped inside extended windows?)",
 			len(store), sF, ckptEvery)
 	}
+	mid := store[len(store)/2]
+	snap, err := checkpoint.Decode(mid.Blob)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, workers := range []int{2, 8} {
 		var par *Cluster
 		var pF int64
 		var pE error
 		pTrace, pMetrics, pSeries := withSeriesRecorder(t, seriesEvery, func() {
-			par = build(workers)
+			par = build(workers, depth)
 			pF, pE = par.Run()
 		})
 		if pTrace != sTrace || pMetrics != sMetrics || pSeries != sSeries {
-			t.Errorf("workers=%d: dumps differ from workers=1", workers)
+			t.Errorf("depth %d workers %d: dumps differ from workers=1", depth, workers)
 		}
-		assertSameResult(t, "ckpt-mid-window", straight, par, sF, pF, sE, pE,
-			[]mem.Addr{{Offset: 0}, {Offset: 1}, {Offset: 2}})
+		assertSameResult(t, fmt.Sprintf("ckpt-mid-window/depth%d", depth), straight, par, sF, pF, sE, pE, addrs)
 		got := par.Checkpoints()
 		if len(got) != len(store) {
-			t.Fatalf("workers=%d: %d checkpoints, want %d", workers, len(got), len(store))
+			t.Fatalf("depth %d workers %d: %d checkpoints, want %d", depth, workers, len(got), len(store))
 		}
 		for i := range store {
 			if !bytes.Equal(got[i].Blob, store[i].Blob) {
-				t.Errorf("workers=%d: checkpoint %d blob differs", workers, i)
+				t.Errorf("depth %d workers %d: checkpoint %d blob differs", depth, workers, i)
 			}
 		}
 	}
 
-	// Restore from a mid-run snapshot (inside the collapsed compute phase)
-	// and finish: state must match the straight run exactly.
-	mid := store[len(store)/2]
-	snap, err := checkpoint.Decode(mid.Blob)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Restore from a mid-run snapshot (inside the collapsed compute
+	// phase) and finish: state must match the straight run exactly.
 	var restored *Cluster
 	var rF int64
 	var rE error
-	rTrace, rMetrics := withPrimedRecorder(t, snap.Obs, func() {
-		restored = build(8)
+	withPrimedRecorder(t, snap.Obs, func() {
+		restored = build(8, depth)
 		if err := restored.RestoreSnapshot(snap); err != nil {
 			t.Fatal(err)
 		}
 		rF, rE = restored.Run()
 	})
-	_ = rTrace
-	_ = rMetrics
-	assertSameResult(t, "restore-mid-window", straight, restored, sF, rF, sE, rE,
-		[]mem.Addr{{Offset: 0}, {Offset: 1}, {Offset: 2}})
+	assertSameResult(t, fmt.Sprintf("restore-mid-window/depth%d", depth), straight, restored, sF, rF, sE, rE, addrs)
 }
 
-// TestAdaptivePoolUnderRealParallelism raises GOMAXPROCS so the
-// persistent worker pool actually spawns (the pool sizes itself to
+// TestCheckpointCadenceMidExtendedWindow runs the cadence-clamp check on
+// the conservative window loop (depth 1).
+func TestCheckpointCadenceMidExtendedWindow(t *testing.T) { checkCadenceMidWindow(t, 1) }
+
+// TestSpecCheckpointCadenceMidWindow runs it speculatively (depth 4).
+func TestSpecCheckpointCadenceMidWindow(t *testing.T) { checkCadenceMidWindow(t, 4) }
+
+// checkPoolUnderRealParallelism raises GOMAXPROCS so the persistent
+// worker pool actually spawns (the pool sizes itself to
 // min(workers, GOMAXPROCS)-1 and runs inline on a single-proc host) and
-// checks executor equivalence with live cross-thread handoff; under
-// -race this is the memory-model audit of the round protocol.
-func TestAdaptivePoolUnderRealParallelism(t *testing.T) {
+// checks executor equivalence with live cross-thread handoff at the given
+// depth; under -race this is the memory-model audit of the round protocol
+// and the stall-and-merge machinery.
+func checkPoolUnderRealParallelism(t *testing.T, depth int64) {
 	prev := goruntime.GOMAXPROCS(4)
 	defer goruntime.GOMAXPROCS(prev)
 
 	seqR := buildRing(t, 2, 7, 1, 1)
 	seqRF, seqRE := seqR.RunSequential()
-	parR := buildRing(t, 2, 7, 1, 4)
-	parRF, parRE := parR.RunParallel(4)
-	assertSameResult(t, "pool/ring", seqR, parR, seqRF, parRF, seqRE, parRE, []mem.Addr{{}})
-
 	seqP := buildPipeline(t, 1, 6, 50, 1)
 	seqPF, seqPE := seqP.RunSequential()
+	parR := buildRing(t, 2, 7, 1, 4)
+	parR.SetSpecDepth(depth)
+	parRF, parRE := parR.RunParallel(4)
+	assertSameResult(t, fmt.Sprintf("pool/ring/depth%d", depth), seqR, parR, seqRF, parRF, seqRE, parRE, []mem.Addr{{}})
+
 	parP := buildPipeline(t, 1, 6, 50, 4)
+	parP.SetSpecDepth(depth)
 	parPF, parPE := parP.RunParallel(4)
-	assertSameResult(t, "pool/pipeline", seqP, parP, seqPF, parPF, seqPE, parPE,
+	assertSameResult(t, fmt.Sprintf("pool/pipeline/depth%d", depth), seqP, parP, seqPF, parPF, seqPE, parPE,
 		[]mem.Addr{{Offset: 0}, {Offset: 1}})
 }
+
+// TestAdaptivePoolUnderRealParallelism runs the pool check on the
+// conservative window loop (depth 1).
+func TestAdaptivePoolUnderRealParallelism(t *testing.T) { checkPoolUnderRealParallelism(t, 1) }
+
+// TestSpecPoolUnderRealParallelism runs it speculatively (depth 4).
+func TestSpecPoolUnderRealParallelism(t *testing.T) { checkPoolUnderRealParallelism(t, 4) }
 
 // TestSingleChipWindowRunsToCompletion pins the len(heap)==1 fast path:
 // the last runnable chip gets an unbounded horizon (no other chip can

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -11,7 +10,6 @@ import (
 
 	"repro/internal/faultplan"
 	"repro/internal/isa"
-	"repro/internal/obs"
 	"repro/internal/topo"
 	"repro/internal/tsp"
 )
@@ -23,13 +21,13 @@ import (
 // replayed → heartbeat death detected → failover to the spare → clean run
 // on the remapped TSPs with correct functional output.
 type ladderScenario struct {
-	sys       *topo.System
-	alloc     *Allocation
-	ladder    *Ladder
-	rounds    int
-	matmuls   int
-	workers   int
-	speculate bool
+	sys     *topo.System
+	alloc   *Allocation
+	ladder  *Ladder
+	rounds  int
+	matmuls int
+	workers int
+	depth   int64 // window depth (0 keeps the default)
 }
 
 const ladderDevices = 2 * topo.TSPsPerNode
@@ -100,7 +98,9 @@ func (sc *ladderScenario) build(a *Allocation) (*Cluster, error) {
 		return nil, err
 	}
 	cl.SetWorkers(sc.workers)
-	cl.SetSpeculate(sc.speculate)
+	if sc.depth > 0 {
+		cl.SetSpecDepth(sc.depth)
+	}
 	for d := 0; d < a.Devices(); d++ {
 		v := tsp.VectorOf(contribution(d))
 		chip := cl.Chip(int(a.TSPOf(d)))
@@ -178,50 +178,10 @@ func TestLadderEndToEndFaultRecovery(t *testing.T) {
 	}
 }
 
-// filterParTrace strips the window-parallel executor's private trace
-// events (runtime.par.window spans and its thread-name metadata) so a
-// sequential and a parallel trace can be compared byte for byte.
-func filterParTrace(t *testing.T, dump string) string {
-	t.Helper()
-	var f struct {
-		TraceEvents     []json.RawMessage `json:"traceEvents"`
-		DisplayTimeUnit string            `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal([]byte(dump), &f); err != nil {
-		t.Fatalf("trace dump: %v", err)
-	}
-	kept := f.TraceEvents[:0]
-	for _, raw := range f.TraceEvents {
-		var e struct {
-			Name string          `json:"name"`
-			Pid  int             `json:"pid"`
-			Tid  int             `json:"tid"`
-			Args json.RawMessage `json:"args"`
-		}
-		if err := json.Unmarshal(raw, &e); err != nil {
-			t.Fatal(err)
-		}
-		if e.Name == "runtime.par.window" {
-			continue
-		}
-		if e.Name == "thread_name" && e.Pid == obs.PidFabric && e.Tid == 1 {
-			continue
-		}
-		kept = append(kept, raw)
-	}
-	f.TraceEvents = kept
-	out, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
-}
-
 // TestLadderFaultWorkerInvariance runs the identical fault scenario under
 // the sequential executor and the window-parallel executor at several
 // worker counts: finish cycles, ladder accounting, functional state, and
-// the full dumps (minus the par-only window artifacts) must be
-// byte-identical — the headline invariant, now including failures.
+// the full dumps must be byte-identical — the headline invariant, now including failures.
 func TestLadderFaultWorkerInvariance(t *testing.T) {
 	type outcome struct {
 		res     *LadderResult
@@ -259,11 +219,11 @@ func TestLadderFaultWorkerInvariance(t *testing.T) {
 				t.Errorf("workers=%d: chip %d stream file differs", w, c)
 			}
 		}
-		if filterParMetrics(t, base.metrics) != filterParMetrics(t, got.metrics) {
-			t.Errorf("workers=%d: metrics dumps differ after filtering window metrics", w)
+		if base.metrics != got.metrics {
+			t.Errorf("workers=%d: metrics dumps differ", w)
 		}
-		if filterParTrace(t, base.trace) != filterParTrace(t, got.trace) {
-			t.Errorf("workers=%d: trace dumps differ after filtering window spans", w)
+		if base.trace != got.trace {
+			t.Errorf("workers=%d: trace dumps differ", w)
 		}
 	}
 }
@@ -307,9 +267,9 @@ func TestLadderSpareExhaustionSurfaces(t *testing.T) {
 // past their scheduled death, leaving it with no active chip: a BER
 // excursion forces a replay, and the node death then lands inside the
 // replayed attempt, between two of its window barriers. The ring runs
-// with matmuls at a 1300-cycle checkpoint cadence, under the window
-// executor or the speculative one.
-func newEmptyWindowScenario(t *testing.T, workers int, speculate bool, seed uint64) *ladderScenario {
+// with matmuls at a 1300-cycle checkpoint cadence, at the given window
+// depth.
+func newEmptyWindowScenario(t *testing.T, workers int, depth int64, seed uint64) *ladderScenario {
 	t.Helper()
 	sys, err := topo.New(topo.Config{Nodes: 3})
 	if err != nil {
@@ -327,7 +287,7 @@ func newEmptyWindowScenario(t *testing.T, workers int, speculate bool, seed uint
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := &ladderScenario{sys: sys, alloc: alloc, rounds: 7, matmuls: 2, workers: workers, speculate: speculate}
+	sc := &ladderScenario{sys: sys, alloc: alloc, rounds: 7, matmuls: 2, workers: workers, depth: depth}
 	sc.ladder = &Ladder{
 		Sys:             sys,
 		Alloc:           alloc,
@@ -345,8 +305,8 @@ func newEmptyWindowScenario(t *testing.T, workers int, speculate bool, seed uint
 // TestLadderEmptyWindowParallel: a window whose popped chips are all past
 // their scheduled death has no active chip, and must be stepped inline
 // rather than handed to the worker pool (which cannot wait on zero
-// chips). With two workers on two OS threads the walk completes, under
-// both window executors, with results byte-identical to one worker.
+// chips). With two workers on two OS threads the walk completes, at
+// every window depth, with results byte-identical to one worker.
 func TestLadderEmptyWindowParallel(t *testing.T) {
 	prev := goruntime.GOMAXPROCS(2)
 	defer goruntime.GOMAXPROCS(prev)
@@ -355,21 +315,21 @@ func TestLadderEmptyWindowParallel(t *testing.T) {
 		res            *LadderResult
 		trace, metrics string
 	}
-	run := func(workers int, spec bool) outcome {
+	run := func(workers int, depth int64) outcome {
 		var o outcome
 		o.trace, o.metrics = withRecorder(t, func() {
-			o.sc = newEmptyWindowScenario(t, workers, spec, 7)
+			o.sc = newEmptyWindowScenario(t, workers, depth, 7)
 			res, err := o.sc.ladder.Run()
 			if err != nil {
-				t.Fatalf("workers=%d speculate=%v: %v", workers, spec, err)
+				t.Fatalf("workers=%d depth=%d: %v", workers, depth, err)
 			}
 			o.res = res
 		})
 		return o
 	}
-	for _, spec := range []bool{false, true} {
-		base, got := run(1, spec), run(2, spec)
-		label := fmt.Sprintf("speculate=%v", spec)
+	for _, depth := range windowDepths {
+		base, got := run(1, depth), run(2, depth)
+		label := fmt.Sprintf("depth=%d", depth)
 		base.sc.checkResult(t, base.res)
 		got.sc.checkResult(t, got.res)
 		if len(got.res.FailedNodes) != 1 || got.res.Failovers != 1 {
@@ -395,11 +355,11 @@ func TestLadderEmptyWindowParallel(t *testing.T) {
 				t.Errorf("%s: checkpoint %d differs from one worker", label, i)
 			}
 		}
-		if filterParMetrics(t, base.metrics) != filterParMetrics(t, got.metrics) {
-			t.Errorf("%s: metrics dumps differ after filtering window metrics", label)
+		if base.metrics != got.metrics {
+			t.Errorf("%s: metrics dumps differ", label)
 		}
-		if filterParTrace(t, base.trace) != filterParTrace(t, got.trace) {
-			t.Errorf("%s: trace dumps differ after filtering window spans", label)
+		if base.trace != got.trace {
+			t.Errorf("%s: trace dumps differ", label)
 		}
 	}
 }

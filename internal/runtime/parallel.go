@@ -1,4 +1,5 @@
-// Conservative window-parallel cluster execution with adaptive horizons.
+// Window-parallel cluster execution with adaptive, optionally speculative
+// horizons.
 //
 // The paper's machine gives the simulator the same gift it gives the
 // compiler: cross-chip effects propagate only over C2C links, and a link
@@ -15,11 +16,51 @@
 // its next cross-chip transfer from its program cursors alone
 // (tsp.Chip.NextSendBound). If no runnable chip can issue a transfer
 // before cycle S, nothing can arrive anywhere before S + HopCycles, and
-// the window may extend to that bound: compute-heavy quiet phases collapse
-// from hundreds of one-hop barriers into one. SetWindowMax caps the
-// extension; an armed checkpoint/series cadence clamps window ends to the
-// next cadence line so barrier-anchored captures keep firing once per
-// line, worker-invariantly.
+// the window may extend to that sound horizon: compute-heavy quiet phases
+// collapse from hundreds of one-hop barriers into one.
+//
+// The window depth (SetSpecDepth, default 1) lets a window run further,
+// up to depth hops past its start, when that exceeds the sound horizon.
+// Chips then run optimistically past data that may not have been sent
+// yet, exploiting the same property as everything else in this
+// simulator: every directed link has exactly one sender delivering in
+// cycle order. A Recv therefore either consumes exactly the envelope the
+// sequential executor would have consumed — the queue is FIFO, nobody
+// else can take it, and commit order is (cycle, src, issue) — or finds
+// the envelope not committed yet. tsp.StepUntilSpec peeks before every
+// Recv and turns the second case into a stall: the chip stops at the
+// blocked Recv with no cursor motion, no counter or span emission, and no
+// fault, so the executed prefix of every chip is always exactly a prefix
+// of the sequential execution and nothing ever has to be undone. Depth 1
+// is the conservative executor: every window ends at its sound horizon,
+// where no Recv can be satisfied by a send from the same window.
+//
+// Each barrier resolves stalls before the window closes. It looks at the
+// earliest (cycle, chip) event among the window's faults and stalls —
+// the one the sequential executor would reach first:
+//
+//   - A fault is the run's fault: the sequential executor stops there too.
+//   - A stall below the sound horizon is a receiver underflow (the
+//     schedule lied): every send of this window arrives at or after the
+//     sound horizon, and every earlier send was delivered at an earlier
+//     barrier.
+//   - A stall at or past the sound horizon may be waiting on a send from
+//     this very window. The barrier merges the window's sends and
+//     re-dispatches every stalled chip whose envelope is now visible (a
+//     rollback: the chip hands back the rest of its window and resumes at
+//     its stall cycle). If the earliest stall's envelope is still missing
+//     it never arrives — every chip that could still send is at or past
+//     the stall cycle, so its send lands at least a hop later — and that
+//     stall is a receiver underflow as well.
+//
+// An underflow is raised by re-executing the blocked Recv through the
+// normal path, which tallies runtime.receiver_underflows once and raises
+// the exact fault the sequential executor raises, at the same cycle.
+//
+// SetWindowMax caps every window; an armed checkpoint/series cadence
+// clamps window ends to the next cadence line, so no chip ever executes
+// past a line and barrier-anchored captures fire once per line, from the
+// canonical state, at any worker count and any depth.
 //
 // Determinism is preserved by construction, not by scheduling luck:
 //
@@ -33,6 +74,8 @@
 //     Each per-source buffer is already cycle-sorted (a chip issues in
 //     nondecreasing cycle order), so the barrier runs a k-way merge over
 //     reused buffers instead of allocating and sorting a global list.
+//   - Which chips stall and get re-dispatched depends only on the merged
+//     queues and each chip's stall cycle, never on worker scheduling.
 //   - Shared observability is atomic counters plus a sorted trace export,
 //     so dumps depend on the multiset of events, not the interleaving.
 //
@@ -41,13 +84,15 @@
 // GOMAXPROCS actually offers parallelism — at GOMAXPROCS=1 the executor
 // runs the window loop inline, and on a clean fabric (no recorder, no
 // fault plan, no BER) it skips send buffering entirely and delivers
-// in-place, which is observably identical there: in-window sends arrive at
-// or after the window end, per-link order is the single sender's own cycle
-// order, and the clean deliver path touches nothing else.
+// in-place, which is observably identical there: per-link order is the
+// single sender's own cycle order, envelopes become visible only at their
+// arrival cycles, and the clean deliver path touches nothing else.
 //
-// The result: finish cycles, memories, fault identities, counters, and
-// exported dumps are byte-identical across worker counts, including the
-// sequential executor.
+// All window telemetry (runtime.par.*) is volatile — it measures how the
+// host happened to cut windows, not the simulated machine — and is read
+// back through ParStats. The result: finish cycles, memories, fault
+// identities, counters, and exported dumps are byte-identical across
+// worker counts and depths, including the sequential executor.
 package runtime
 
 import (
@@ -79,18 +124,27 @@ type mergeEnt struct {
 	j     int32
 }
 
-// RunParallel executes the cluster with the window-parallel executor on
-// the given number of workers. workers <= 1 still runs the window
-// machinery single-threaded (useful for testing the partition), so window
-// metrics are identical across worker counts; use RunSequential for the
-// plain heap executor.
+// chipStep is one chip's outcome from a window step: its next issue
+// cycle, whether it still has runnable work, and the inbound link it
+// stalled on (-1 when it reached the horizon, ran out of work or faulted).
+type chipStep struct {
+	next  int64
+	ok    bool
+	stall int
+}
+
+// RunParallel executes the cluster with the window executor on the given
+// number of workers, at the cluster's window depth (SetSpecDepth).
+// workers <= 1 still runs the window machinery single-threaded (useful
+// for testing the partition), so window metrics are identical across
+// worker counts; use RunSequential for the plain heap executor.
 func (cl *Cluster) RunParallel(workers int) (int64, error) {
-	finish, err := cl.runParallel(workers)
+	finish, err := cl.runParallel(workers, cl.specDepth)
 	cl.noteRunEnd(finish)
 	return finish, err
 }
 
-func (cl *Cluster) runParallel(workers int) (int64, error) {
+func (cl *Cluster) runParallel(workers int, depth int64) (int64, error) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -99,10 +153,10 @@ func (cl *Cluster) runParallel(workers int) (int64, error) {
 	// describe the host partition — how this executor happened to cut
 	// windows — not the simulated machine, so every one lives in the
 	// volatile registry: excluded from State, metric dumps, series samples,
-	// and checkpoint snapshots. That is what lets the sequential,
-	// conservative, and speculative executors export byte-identical dumps
-	// while still reporting their own window behavior through
-	// ParStats/SpecStats and the volatile read-back API.
+	// and checkpoint snapshots. That is what lets the sequential executor
+	// and the window loop at every depth export byte-identical dumps while
+	// still reporting their own window behavior through ParStats and the
+	// volatile read-back API.
 	windowsC := cl.rec.VolatileCounter("runtime.par.windows")
 	windowChipsC := cl.rec.VolatileCounter("runtime.par.window_chips")
 	horizonC := cl.rec.VolatileCounter("runtime.par.horizon_cycles")
@@ -110,15 +164,17 @@ func (cl *Cluster) runParallel(workers int) (int64, error) {
 	stalledC := cl.rec.VolatileCounter("runtime.par.barrier_stalled_chips")
 	occH := cl.rec.VolatileHistogram("runtime.par.window_occupancy", 0, 1, 65)
 	barrierNS := cl.rec.VolatileCounter("runtime.par.barrier_ns")
-	cl.parWindows, cl.parHorizon, cl.parBarrierNS = 0, 0, 0
+	rollbacksC := cl.rec.VolatileCounter("runtime.par.rollbacks")
+	wastedC := cl.rec.VolatileCounter("runtime.par.wasted_cycles")
+	cl.par = ParStats{}
 
 	if cl.pend == nil {
 		cl.pend = make([][]pendingSend, len(cl.chips))
 	}
 	h := cl.runnableHeap()
 	active := make([]int, 0, len(cl.chips))
-	nexts := make([]int64, len(cl.chips))
-	oks := make([]bool, len(cl.chips))
+	retry := make([]int, 0, len(cl.chips))
+	out := make([]chipStep, len(cl.chips))
 
 	// Spawn the persistent pool only for parallelism the scheduler can
 	// actually deliver: the window loop itself drains work too, so n is
@@ -126,12 +182,29 @@ func (cl *Cluster) runParallel(workers int) (int64, error) {
 	// window runs inline with no handoff at all.
 	var pool *parPool
 	if n := min(workers, goruntime.GOMAXPROCS(0)) - 1; n > 0 {
-		pool = newParPool(cl.stepChip, n, nexts, oks)
+		pool = newParPool(cl, n, out)
 		defer pool.stop()
+	}
+	step := func(chips []int, end int64) {
+		if pool == nil || len(chips) <= 1 {
+			for _, i := range chips {
+				out[i] = cl.stepChip(i, end)
+			}
+		} else {
+			pool.run(chips, end)
+		}
 	}
 	// On a clean fabric single-threaded delivery commutes with the barrier
 	// merge (see the package comment), so skip the buffer-and-merge copy.
 	direct := pool == nil && cl.rec == nil && cl.fplan == nil && cl.ber == 0
+	var flushNS int64
+	flush := func() {
+		if !direct {
+			start := time.Now()
+			cl.flushPending()
+			flushNS += time.Since(start).Nanoseconds()
+		}
+	}
 
 	for len(h) > 0 {
 		t := h[0].t
@@ -144,12 +217,12 @@ func (cl *Cluster) runParallel(workers int) (int64, error) {
 		}
 		// Checkpoint at the window barrier once the heap minimum crosses
 		// the cadence line: every send issued before t has been flushed,
-		// no chip is faulted (a fault ends the run at its window's
-		// barrier), so the cluster is a closed restart point.
+		// and no chip is faulted or stalled (a barrier resolves both before
+		// its window closes), so the cluster is a closed restart point.
 		if cl.ckptEvery > 0 && t >= cl.ckptNext {
 			cl.captureCheckpoint(t)
 		}
-		end := cl.windowEnd(t, h)
+		sound, end := cl.windowEnd(t, h, depth)
 		// Drain every chip whose next issue falls inside [t, end). By the
 		// NextIssue monotonicity contract a chip left in the heap cannot
 		// issue before end, so excluding it from this window is safe.
@@ -165,48 +238,60 @@ func (cl *Cluster) runParallel(workers int) (int64, error) {
 			active = append(active, e.idx)
 		}
 		windowsC.Inc()
-		cl.parWindows++
+		cl.par.Windows++
 		windowChipsC.Add(int64(len(active)))
 		occH.Add(float64(len(active)))
 		if len(h) > 0 {
-			// Runnable chips forced to sit this window out: the
-			// conservative bound's cost, visible as barrier stalls.
+			// Runnable chips forced to sit this window out: the window
+			// bound's cost, visible as barrier stalls.
 			stallsC.Inc()
 			stalledC.Add(int64(len(h)))
 		}
 
 		// Step every active chip to the window horizon, buffering sends
 		// (unless single-threaded on a clean fabric, where direct delivery
-		// is equivalent).
+		// is equivalent), then resolve stalls as the package comment
+		// describes.
+		flushNS = 0
 		cl.buffering = !direct
-		if pool == nil || len(active) <= 1 {
-			for _, i := range active {
-				nexts[i], oks[i] = cl.stepChip(i, end)
+		step(active, end)
+		for {
+			i := cl.firstEvent(active, out)
+			if i < 0 {
+				break
 			}
-		} else {
-			pool.run(active, end)
+			if out[i].stall < 0 {
+				// The earliest event is a fault. Chip state up to it is
+				// window-local, so the faulting chip looks exactly as it
+				// does sequentially; buffered sends are dropped, as the
+				// run is abandoned for replay.
+				cl.buffering = false
+				return cl.chips[i].FinishCycle(), cl.chips[i].Fault()
+			}
+			if r := out[i].next; r >= sound {
+				flush()
+				if cl.peek(topo.TSPID(i), out[i].stall, r) {
+					retry = retry[:0]
+					for _, j := range active {
+						if s := out[j]; s.stall >= 0 && cl.peek(topo.TSPID(j), s.stall, s.next) {
+							rollbacksC.Inc()
+							wastedC.Add(end - s.next)
+							cl.par.Rollbacks++
+							cl.par.WastedCycles += end - s.next
+							retry = append(retry, j)
+						}
+					}
+					step(retry, end)
+					continue
+				}
+			}
+			// The earliest stall can never be satisfied: execute the
+			// blocked Recv through the normal path to raise the underflow.
+			cl.buffering = false
+			cl.chips[i].StepUntil(out[i].next + 1)
+			return cl.chips[i].FinishCycle(), cl.chips[i].Fault()
 		}
 		cl.buffering = false
-
-		// Barrier: surface the first fault in global (cycle, chip) order —
-		// the one the sequential executor would have stopped at. Chip
-		// state up to a fault is window-local, so the faulting chip looks
-		// exactly as it does sequentially; buffered sends are dropped, as
-		// the run is abandoned for replay.
-		fi := -1
-		for _, i := range active {
-			f := cl.chips[i].Fault()
-			if f == nil {
-				continue
-			}
-			if fi < 0 || f.Cycle < cl.chips[fi].Fault().Cycle ||
-				(f.Cycle == cl.chips[fi].Fault().Cycle && i < fi) {
-				fi = i
-			}
-		}
-		if fi >= 0 {
-			return cl.chips[fi].FinishCycle(), cl.chips[fi].Fault()
-		}
 
 		// Horizon telemetry after the step so the final, unbounded window
 		// can report how far the chips actually ran instead of MaxInt64.
@@ -220,24 +305,22 @@ func (cl *Cluster) runParallel(workers int) (int64, error) {
 			}
 		}
 		horizonC.Add(wlen)
-		cl.parHorizon += wlen
+		cl.par.HorizonCycles += wlen
 
 		// Merge the window's sends in deterministic order, then requeue
 		// the chips that still have work. This serial section is the
 		// per-barrier cost the adaptive horizon amortizes; it is timed
 		// (wall clock, volatile) so the profiler can attribute it.
+		flush()
 		start := time.Now()
-		if !direct {
-			cl.flushPending()
-		}
 		for _, i := range active {
-			if oks[i] {
-				h.push(chipHeapEntry{t: nexts[i], idx: i})
+			if out[i].ok {
+				h.push(chipHeapEntry{t: out[i].next, idx: i})
 			}
 		}
-		ns := time.Since(start).Nanoseconds()
+		ns := flushNS + time.Since(start).Nanoseconds()
 		barrierNS.Add(ns)
-		cl.parBarrierNS += ns
+		cl.par.BarrierNS += ns
 	}
 	finish, err := cl.finish()
 	if cl.seriesEvery > 0 && err == nil {
@@ -248,22 +331,45 @@ func (cl *Cluster) runParallel(workers int) (int64, error) {
 	return finish, err
 }
 
-// windowEnd computes the current window's horizon: at least one hop past
-// the barrier, extended to one hop past the earliest cycle at which any
-// runnable chip could issue a cross-chip transfer (a send at s >= S
-// arrives at s + HopCycles >= end, so nothing sent inside the window is
-// consumable inside it), capped by SetWindowMax, and clamped to the next
-// checkpoint/series cadence line so barrier-anchored captures fire exactly
-// once per line. Always > t: the cap is >= one hop and both cadence lines
+// firstEvent returns the active chip whose fault or stall comes first in
+// global (cycle, chip) order, or -1 when every chip reached the horizon or
+// ran out of work.
+func (cl *Cluster) firstEvent(active []int, out []chipStep) int {
+	first, at := -1, int64(0)
+	for _, i := range active {
+		var c int64
+		if f := cl.chips[i].Fault(); f != nil {
+			c = f.Cycle
+		} else if out[i].stall >= 0 {
+			c = out[i].next
+		} else {
+			continue
+		}
+		if first < 0 || c < at || (c == at && i < first) {
+			first, at = i, c
+		}
+	}
+	return first
+}
+
+// windowEnd computes the current window's horizons. The sound horizon is
+// at least one hop past the barrier, extended to one hop past the
+// earliest cycle at which any runnable chip could issue a cross-chip
+// transfer (a send at s >= S arrives at s + HopCycles >= end, so nothing
+// sent inside the window is consumable before it). The window end is the
+// sound horizon or depth hops past the barrier, whichever is later. Both
+// are capped by SetWindowMax and clamped to the next checkpoint/series
+// cadence line so barrier-anchored captures fire exactly once per line.
+// Always t < sound <= end: the cap is >= one hop and both cadence lines
 // are > t after the top-of-loop capture checks.
-func (cl *Cluster) windowEnd(t int64, h chipHeap) int64 {
-	end := t + int64(route.HopCycles)
+func (cl *Cluster) windowEnd(t int64, h chipHeap, depth int64) (sound, end int64) {
+	sound = t + int64(route.HopCycles)
 	if len(h) == 1 {
 		// A single runnable chip: any send it issues lands on a chip that
 		// finished or parked for good (chips never rejoin the heap — a
 		// NOTIFY only wakes units on its own chip), so no transfer it makes
 		// is ever consumed. Run it to completion.
-		end = math.MaxInt64
+		sound = math.MaxInt64
 	} else {
 		earliest := int64(math.MaxInt64)
 		for i := range h {
@@ -289,33 +395,34 @@ func (cl *Cluster) windowEnd(t int64, h chipHeap) int64 {
 			}
 		}
 		if earliest == math.MaxInt64 {
-			end = math.MaxInt64
-		} else if x := earliest + int64(route.HopCycles); x > end {
-			end = x
+			sound = math.MaxInt64
+		} else if x := earliest + int64(route.HopCycles); x > sound {
+			sound = x
 		}
 	}
+	end = max(sound, t+depth*int64(route.HopCycles))
 	if cl.windowMax > 0 {
-		if c := t + cl.windowMax; end > c || end == math.MaxInt64 {
-			end = c
-		}
+		end = min(end, t+cl.windowMax)
 	}
-	if cl.ckptEvery > 0 && end > cl.ckptNext {
-		end = cl.ckptNext
+	if cl.ckptEvery > 0 {
+		end = min(end, cl.ckptNext)
 	}
-	if cl.seriesEvery > 0 && end > cl.seriesNext {
-		end = cl.seriesNext
+	if cl.seriesEvery > 0 {
+		end = min(end, cl.seriesNext)
 	}
-	return end
+	return min(sound, end), end
 }
 
-// stepChip advances one chip to the window horizon, clamped to the chip's
-// scheduled death: instructions at or past the death cycle never execute,
-// the same predicate the sequential executor's pop guard enforces.
-func (cl *Cluster) stepChip(i int, end int64) (int64, bool) {
+// stepChip advances one chip toward the window horizon, clamped to the
+// chip's scheduled death (instructions at or past the death cycle never
+// execute, the same predicate the sequential executor's pop guard
+// enforces), stopping early at a Recv whose envelope is not committed yet.
+func (cl *Cluster) stepChip(i int, end int64) chipStep {
 	if cl.death != nil && cl.death[i] < end {
 		end = cl.death[i]
 	}
-	return cl.chips[i].StepUntil(end)
+	next, ok, stall := cl.chips[i].StepUntilSpec(end, cl.c2cs[i])
+	return chipStep{next: next, ok: ok, stall: stall}
 }
 
 // parPool is the persistent worker pool: one goroutine per extra worker
@@ -325,12 +432,8 @@ func (cl *Cluster) stepChip(i int, end int64) (int64, bool) {
 // one-chip window never pays a handoff at all (the window loop skips the
 // pool entirely in that case).
 type parPool struct {
-	// step advances one chip to the window horizon. The conservative
-	// executor passes Cluster.stepChip; the speculative executor passes a
-	// closure over tsp.StepUntilSpec that also records stall links.
-	step   func(i int, end int64) (int64, bool)
-	nexts  []int64
-	oks    []bool
+	cl     *Cluster
+	out    []chipStep
 	work   chan struct{}
 	quit   chan struct{}
 	wg     sync.WaitGroup
@@ -339,8 +442,8 @@ type parPool struct {
 	cursor atomic.Int64
 }
 
-func newParPool(step func(int, int64) (int64, bool), n int, nexts []int64, oks []bool) *parPool {
-	p := &parPool{step: step, nexts: nexts, oks: oks,
+func newParPool(cl *Cluster, n int, out []chipStep) *parPool {
+	p := &parPool{cl: cl, out: out,
 		work: make(chan struct{}, n), quit: make(chan struct{})}
 	for k := 0; k < n; k++ {
 		go p.worker()
@@ -351,8 +454,8 @@ func newParPool(step func(int, int64) (int64, bool), n int, nexts []int64, oks [
 func (p *parPool) worker() {
 	for {
 		// The token receive happens-after run's round-state writes, and
-		// wg.Done happens-before the caller's wg.Wait reads of nexts/oks —
-		// the two memory-model edges the round protocol needs.
+		// wg.Done happens-before the caller's wg.Wait reads of out — the
+		// two memory-model edges the round protocol needs.
 		select {
 		case <-p.quit:
 			return
@@ -371,7 +474,7 @@ func (p *parPool) drain() {
 			return
 		}
 		i := p.active[j]
-		p.nexts[i], p.oks[i] = p.step(i, p.end)
+		p.out[i] = p.cl.stepChip(i, p.end)
 	}
 }
 

@@ -2,9 +2,8 @@ package runtime
 
 import (
 	"bytes"
-	"encoding/json"
+	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -178,36 +177,6 @@ func assertSameResult(t *testing.T, label string, seq, par *Cluster, seqFinish, 
 	}
 }
 
-// filterParMetrics removes the runtime.par.* window metrics (which only
-// the parallel executor emits) so a sequential and a parallel metrics
-// dump can be compared key for key.
-func filterParMetrics(t *testing.T, dump string) string {
-	t.Helper()
-	var m struct {
-		Counters   map[string]int64           `json:"counters"`
-		Gauges     map[string]int64           `json:"gauges"`
-		Histograms map[string]json.RawMessage `json:"histograms"`
-	}
-	if err := json.Unmarshal([]byte(dump), &m); err != nil {
-		t.Fatalf("metrics dump: %v", err)
-	}
-	for k := range m.Counters {
-		if strings.HasPrefix(k, "runtime.par.") {
-			delete(m.Counters, k)
-		}
-	}
-	for k := range m.Histograms {
-		if strings.HasPrefix(k, "runtime.par.") {
-			delete(m.Histograms, k)
-		}
-	}
-	out, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
-}
-
 // withRecorder runs f with a fresh process-global recorder installed and
 // returns the trace and metrics dumps it produced.
 func withRecorder(t *testing.T, f func()) (trace, metrics string) {
@@ -227,53 +196,106 @@ func withRecorder(t *testing.T, f func()) (trace, metrics string) {
 	return tb.String(), mb.String()
 }
 
-// TestParallelMatchesSequential is the core equivalence suite: across
-// topology sizes, workloads, and worker counts, the window-parallel
-// executor must be indistinguishable from the sequential one — state,
-// finish cycles, and (minus the par-only window metrics) the sorted
-// metrics dump.
-func TestParallelMatchesSequential(t *testing.T) {
-	type buildFn func(t *testing.T, workers int) (*Cluster, []mem.Addr)
-	cases := []struct {
-		name  string
-		build buildFn
-	}{
-		{"ring/1node", func(t *testing.T, w int) (*Cluster, []mem.Addr) {
-			return buildRing(t, 1, 7, 1, w), []mem.Addr{{}}
-		}},
-		{"ring/2node", func(t *testing.T, w int) (*Cluster, []mem.Addr) {
-			return buildRing(t, 2, 7, 0, w), []mem.Addr{{}}
-		}},
-		{"pipeline/1node", func(t *testing.T, w int) (*Cluster, []mem.Addr) {
-			return buildPipeline(t, 1, 3, 1, w), []mem.Addr{{Offset: 0}, {Offset: 1}, {Offset: 2}}
-		}},
-		{"pipeline/2node", func(t *testing.T, w int) (*Cluster, []mem.Addr) {
-			return buildPipeline(t, 2, 2, 0, w), []mem.Addr{{Offset: 0}, {Offset: 1}}
-		}},
+// windowDepths are the window depths the equivalence tables run: the
+// conservative loop and a speculative one.
+var windowDepths = []int64{1, 4}
+
+// runAtDepth runs a cluster through the window loop at the given depth:
+// via Run at several workers (the user-facing route, which takes the
+// window loop whenever a recorder, a fault plan or real parallelism is
+// present), and via the explicit entry point at one worker.
+func runAtDepth(cl *Cluster, workers int, depth int64) (int64, error) {
+	cl.SetSpecDepth(depth)
+	if workers > 1 {
+		return cl.Run()
 	}
+	return cl.RunParallel(1)
+}
+
+// equivCase is one workload of the window-vs-sequential equivalence
+// tables: a builder and the worker counts it runs at.
+type equivCase struct {
+	name    string
+	build   func(t *testing.T, workers int) (*Cluster, []mem.Addr)
+	workers []int
+}
+
+// checkMatchesSequential runs every case at every listed depth and worker
+// count and requires the window executor to be indistinguishable from the
+// sequential one — state, finish cycles, and the raw trace and metrics
+// dumps. No runtime.par.* key may appear in either dump; the volatile
+// registry keeps host-partition telemetry out of the exports.
+func checkMatchesSequential(t *testing.T, cases []equivCase, depths []int64) {
 	for _, tc := range cases {
-		for _, workers := range []int{2, 3, 8} {
-			name := tc.name + "/w" + string(rune('0'+workers))
+		for _, workers := range tc.workers {
+			name := fmt.Sprintf("%s/w%d", tc.name, workers)
 			t.Run(name, func(t *testing.T) {
-				var seq, par *Cluster
-				var seqFinish, parFinish int64
-				var seqErr, parErr error
+				var seq *Cluster
+				var seqFinish int64
+				var seqErr error
 				var addrs []mem.Addr
-				_, seqMetrics := withRecorder(t, func() {
+				seqTrace, seqMetrics := withRecorder(t, func() {
 					seq, addrs = tc.build(t, 1)
 					seqFinish, seqErr = seq.RunSequential()
 				})
-				_, parMetrics := withRecorder(t, func() {
-					par, _ = tc.build(t, workers)
-					parFinish, parErr = par.Run()
-				})
-				assertSameResult(t, name, seq, par, seqFinish, parFinish, seqErr, parErr, addrs)
-				if filterParMetrics(t, seqMetrics) != filterParMetrics(t, parMetrics) {
-					t.Errorf("%s: metrics dumps differ after filtering window metrics", name)
+				for _, depth := range depths {
+					label := fmt.Sprintf("%s/depth%d", name, depth)
+					var par *Cluster
+					var parFinish int64
+					var parErr error
+					parTrace, parMetrics := withRecorder(t, func() {
+						par, _ = tc.build(t, workers)
+						parFinish, parErr = runAtDepth(par, workers, depth)
+					})
+					assertSameResult(t, label, seq, par, seqFinish, parFinish, seqErr, parErr, addrs)
+					if parTrace != seqTrace {
+						t.Errorf("%s: trace dump differs from sequential", label)
+					}
+					if parMetrics != seqMetrics {
+						t.Errorf("%s: metrics dump differs from sequential", label)
+					}
+					if par.ParStats().Windows == 0 {
+						t.Errorf("%s: run recorded no windows (routed past the window loop?)", label)
+					}
 				}
 			})
 		}
 	}
+}
+
+// TestParallelMatchesSequential is the core equivalence suite: across
+// topology sizes, workloads, worker counts and window depths, the window
+// executor must be indistinguishable from the sequential one.
+func TestParallelMatchesSequential(t *testing.T) {
+	checkMatchesSequential(t, []equivCase{
+		{"ring/1node", func(t *testing.T, w int) (*Cluster, []mem.Addr) {
+			return buildRing(t, 1, 7, 1, w), []mem.Addr{{}}
+		}, []int{2, 3, 8}},
+		{"ring/2node", func(t *testing.T, w int) (*Cluster, []mem.Addr) {
+			return buildRing(t, 2, 7, 0, w), []mem.Addr{{}}
+		}, []int{2, 3, 8}},
+		{"pipeline/1node", func(t *testing.T, w int) (*Cluster, []mem.Addr) {
+			return buildPipeline(t, 1, 3, 1, w), []mem.Addr{{Offset: 0}, {Offset: 1}, {Offset: 2}}
+		}, []int{2, 3, 8}},
+		{"pipeline/2node", func(t *testing.T, w int) (*Cluster, []mem.Addr) {
+			return buildPipeline(t, 2, 2, 0, w), []mem.Addr{{Offset: 0}, {Offset: 1}}
+		}, []int{2, 3, 8}},
+	}, windowDepths)
+}
+
+// TestSpeculativeMatchesSequential is the same equivalence on the two
+// workloads where speculation matters most — the matmul ring, which pays
+// rollbacks, and the compute-heavy pipeline, whose windows collapse — at
+// every worker count from the inline loop (1) to the pool (8).
+func TestSpeculativeMatchesSequential(t *testing.T) {
+	checkMatchesSequential(t, []equivCase{
+		{"ring/2node-matmul", func(t *testing.T, w int) (*Cluster, []mem.Addr) {
+			return buildRing(t, 2, 7, 1, w), []mem.Addr{{}}
+		}, []int{1, 2, 4, 8}},
+		{"pipeline/heavy", func(t *testing.T, w int) (*Cluster, []mem.Addr) {
+			return buildPipeline(t, 1, 3, 50, w), []mem.Addr{{Offset: 0}, {Offset: 1}, {Offset: 2}}
+		}, []int{1, 2, 4, 8}},
+	}, windowDepths)
 }
 
 // TestParallelWorkerCountInvariance requires the full dumps — trace
@@ -321,50 +343,96 @@ func TestParallelBERMatchesSequential(t *testing.T) {
 	assertSameResult(t, "ber", seq, par, seqFinish, parFinish, seqErr, parErr, nil)
 }
 
-// TestParallelUnderflowFaultMatchesSequential: a schedule that lies (a
-// Recv before the hop completes) must produce the identical fault — kind,
-// unit, cycle, instruction — and finish cycle under both executors.
+// TestParallelUnderflowFaultMatchesSequential: a schedule that lies must
+// produce the identical fault — kind, unit, cycle, instruction — and
+// finish cycle under the sequential executor and the window loop at every
+// depth and worker count. The second case races an underflow against a
+// later fault on another chip: the window loop must report the earlier
+// underflow, not the fault it finds at the barrier, even though the
+// stalled Recv has not faulted yet when the window closes.
 func TestParallelUnderflowFaultMatchesSequential(t *testing.T) {
-	build := func(workers int) *Cluster {
-		sys, err := topo.New(topo.Config{Nodes: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		l01, err := localLinkIndex(sys, 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l10, err := localLinkIndex(sys, 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b0, b1 progBuilder
-		b0.at(isa.C2C, 0, isa.Instruction{Op: isa.Send, A: uint16(l01), B: 0})
-		// The hop lands at 650; receiving at 100 underflows.
-		b1.at(isa.C2C, 100, isa.Instruction{Op: isa.Recv, A: uint16(l10), B: 0})
-		p0, p1 := b0.p, b1.p
-		cl, err := New(sys, []*isa.Program{&p0, &p1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.SetWorkers(workers)
-		return cl
+	cases := []struct {
+		name string
+		// program fills the per-chip programs and returns the chip whose
+		// SRAM word 0 gets a double-bit upset (-1 for none).
+		program func(t *testing.T, sys *topo.System, b []progBuilder) int
+	}{
+		{"recv-before-hop", func(t *testing.T, sys *topo.System, b []progBuilder) int {
+			l01, err := localLinkIndex(sys, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l10, err := localLinkIndex(sys, 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b[0].at(isa.C2C, 0, isa.Instruction{Op: isa.Send, A: uint16(l01), B: 0})
+			// The hop lands at 650; receiving at 100 underflows.
+			b[1].at(isa.C2C, 100, isa.Instruction{Op: isa.Recv, A: uint16(l10), B: 0})
+			return -1
+		}},
+		{"underflow-before-poison", func(t *testing.T, sys *topo.System, b []progBuilder) int {
+			l01, err := localLinkIndex(sys, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Nobody sends to chip 0, so its Recv underflows at 100; chip
+			// 2 reads a poisoned word at 300.
+			b[0].at(isa.C2C, 100, isa.Instruction{Op: isa.Recv, A: uint16(l01), B: 0})
+			b[2].at(isa.MEM, 300, isa.Instruction{Op: isa.Read, Imm: 0})
+			return 2
+		}},
 	}
-	seqFinish, seqErr := build(1).Run()
-	parFinish, parErr := build(4).Run()
-	if seqErr == nil || parErr == nil {
-		t.Fatalf("expected underflow faults, got seq=%v par=%v", seqErr, parErr)
-	}
-	sf, ok1 := seqErr.(*tsp.Fault)
-	pf, ok2 := parErr.(*tsp.Fault)
-	if !ok1 || !ok2 {
-		t.Fatalf("expected *tsp.Fault, got %T / %T", seqErr, parErr)
-	}
-	if sf.Kind != pf.Kind || sf.Unit != pf.Unit || sf.Cycle != pf.Cycle || sf.Instr != pf.Instr {
-		t.Fatalf("fault identity differs: seq %+v, par %+v", sf, pf)
-	}
-	if seqFinish != parFinish {
-		t.Fatalf("fault finish differs: %d vs %d", seqFinish, parFinish)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func(workers int) *Cluster {
+				sys, err := topo.New(topo.Config{Nodes: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				b := make([]progBuilder, 3)
+				poisoned := tc.program(t, sys, b)
+				progs := make([]*isa.Program, len(b))
+				for i := range b {
+					progs[i] = &b[i].p
+				}
+				cl, err := New(sys, progs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cl.SetWorkers(workers)
+				if poisoned >= 0 {
+					cl.Chip(poisoned).Mem.FlipBit(mem.Addr{}, 3)
+					cl.Chip(poisoned).Mem.FlipBit(mem.Addr{}, 4)
+				}
+				return cl
+			}
+			seqFinish, seqErr := build(1).RunSequential()
+			sf, ok := seqErr.(*tsp.Fault)
+			if !ok {
+				t.Fatalf("sequential: want a *tsp.Fault, got %v", seqErr)
+			}
+			if sf.Kind != tsp.ErrUnderflow {
+				t.Fatalf("sequential: want an underflow, got %v", sf)
+			}
+			for _, depth := range windowDepths {
+				for _, workers := range []int{1, 2, 4} {
+					cl := build(workers)
+					cl.SetSpecDepth(depth)
+					parFinish, parErr := cl.RunParallel(workers)
+					pf, ok := parErr.(*tsp.Fault)
+					if !ok {
+						t.Fatalf("depth %d workers %d: want a *tsp.Fault, got %v", depth, workers, parErr)
+					}
+					if sf.Kind != pf.Kind || sf.Unit != pf.Unit || sf.Cycle != pf.Cycle || sf.Instr != pf.Instr {
+						t.Errorf("depth %d workers %d: fault identity differs: seq %+v, par %+v", depth, workers, sf, pf)
+					}
+					if seqFinish != parFinish {
+						t.Errorf("depth %d workers %d: fault finish differs: %d vs %d", depth, workers, seqFinish, parFinish)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -7,11 +7,11 @@
 // (§4.5).
 //
 // Two executors produce byte-identical results: a sequential min-heap
-// executor (RunSequential) and a conservative window-parallel executor
-// (RunParallel, see parallel.go) that exploits the same property the
-// paper's compiler exploits — cross-chip effects cannot propagate faster
-// than one route.HopCycles link hop — to step causally independent chips
-// concurrently.
+// executor (RunSequential) and a window-parallel executor (RunParallel,
+// see parallel.go) that exploits the same property the paper's compiler
+// exploits — cross-chip effects cannot propagate faster than one
+// route.HopCycles link hop — to step causally independent chips
+// concurrently, optionally running them speculatively past that bound.
 package runtime
 
 import (
@@ -66,36 +66,16 @@ type Cluster struct {
 	merge     []mergeEnt
 
 	// windowMax caps the adaptive window horizon (cycles per window;
-	// 0 = uncapped), captured from the package default at construction.
-	// parWindows/parHorizon/parBarrierNS accumulate the most recent
-	// parallel run's window count, summed horizon cycles, and wall-clock
-	// barrier time (see ParStats).
-	windowMax    int64
-	parWindows   int64
-	parHorizon   int64
-	parBarrierNS int64
+	// 0 = uncapped) and specDepth is the window depth in hops (1 =
+	// conservative; see parallel.go), both captured from the package
+	// defaults at construction. par accumulates the most recent window
+	// run's statistics (see ParStats).
+	windowMax int64
+	specDepth int64
+	par       ParStats
 
-	// Speculation (see speculate.go): when speculate is set and workers > 1,
-	// Run routes to the speculative window executor, which extends each
-	// window up to specDepth conservative hops past the sound horizon and
-	// stalls chips at Recvs whose data has not been committed yet.
-	// specStall[i] is the inbound link chip i is stalled on (-1 = running),
-	// persistent across windows; specWindows/specRollbacks/specWasted
-	// accumulate the most recent speculative run's statistics (SpecStats).
-	speculate     bool
-	specDepth     int64
-	specStall     []int
-	specWindows   int64
-	specRollbacks int64
-	specWasted    int64
-
-	// inSrc[dst][j] is the source chip of dst's inbound local link j (-1
-	// when unwired) — the reverse-link index the speculative executor uses
-	// to classify a stalled Recv as satisfiable or doomed.
-	inSrc [][]int
-
-	// c2cs[i] is chip i's fabric adapter, retained so the speculative
-	// executor can hand it to tsp.StepUntilSpec as the RecvPeeker.
+	// c2cs[i] is chip i's fabric adapter, retained so the window executor
+	// can hand it to tsp.StepUntilSpec as the RecvPeeker.
 	c2cs []*chipC2C
 
 	// Link error process (§4.5): every delivered vector passes through
@@ -194,23 +174,12 @@ func SetDefaultWindowMax(n int64) int64 {
 	return prev
 }
 
-// defaultSpeculate is the speculation toggle new clusters start with.
-// Like defaultWorkers it is read at construction time only.
-var defaultSpeculate = false
+// defaultSpecDepth is the window depth in hops new clusters start with:
+// 1 is the conservative executor. Like defaultWorkers it is read at
+// construction time only.
+var defaultSpecDepth = int64(1)
 
-// SetDefaultSpeculate sets the speculation toggle future New calls
-// capture. Returns the previous value.
-func SetDefaultSpeculate(on bool) bool {
-	prev := defaultSpeculate
-	defaultSpeculate = on
-	return prev
-}
-
-// defaultSpecDepth is the speculation depth (in conservative one-hop
-// windows past the sound horizon) new clusters start with.
-var defaultSpecDepth = int64(4)
-
-// SetDefaultSpecDepth sets the speculation depth future New calls
+// SetDefaultSpecDepth sets the window depth future New calls
 // capture. n < 1 is treated as 1. Returns the previous value.
 func SetDefaultSpecDepth(n int64) int64 {
 	prev := defaultSpecDepth
@@ -321,7 +290,7 @@ func New(sys *topo.System, programs []*isa.Program) (*Cluster, error) {
 	}
 	cl := &Cluster{
 		sys: sys, workers: defaultWorkers, windowMax: defaultWindowMax,
-		speculate: defaultSpeculate, specDepth: defaultSpecDepth, firstMBECycle: -1,
+		specDepth: defaultSpecDepth, firstMBECycle: -1,
 	}
 	if rec := obs.Get(); rec != nil {
 		cl.rec = rec
@@ -374,19 +343,6 @@ func New(sys *topo.System, programs []*isa.Program) (*Cluster, error) {
 			panic(fmt.Sprintf("runtime: link %d: reverse link %d missing from chip %d adjacency", l.ID, l.Reverse, l.To))
 		}
 	}
-	// Reverse-link index: the source chip behind each inbound local link,
-	// so a stalled Recv can be classified by its sender's send bound.
-	cl.inSrc = make([][]int, sys.NumTSPs())
-	for t := 0; t < sys.NumTSPs(); t++ {
-		cl.inSrc[t] = make([]int, len(cl.posts[t].queues))
-		for j := range cl.inSrc[t] {
-			cl.inSrc[t][j] = -1
-		}
-	}
-	for i := range links {
-		l := links[i]
-		cl.inSrc[l.To][cl.peerIdx[l.ID]] = int(l.From)
-	}
 	// Pre-resolve each chip's outbound routes to destination queue
 	// pointers (stable: the queues slices are fixed-size after this loop).
 	cl.routes = make([][]*linkQueue, sys.NumTSPs())
@@ -432,18 +388,12 @@ func (cl *Cluster) SetWindowMax(n int64) {
 // WindowMax reports the configured adaptive-horizon cap (0 = uncapped).
 func (cl *Cluster) WindowMax() int64 { return cl.windowMax }
 
-// SetSpeculate toggles the speculative window executor for this cluster.
-// It only takes effect with workers > 1; speculation at one worker is the
-// sequential schedule by definition. Every simulated observable is
-// byte-identical with it on or off — speculation changes wall-clock
-// behavior and the volatile runtime.spec.* telemetry only.
-func (cl *Cluster) SetSpeculate(on bool) { cl.speculate = on }
-
-// Speculate reports whether the speculative executor is enabled.
-func (cl *Cluster) Speculate() bool { return cl.speculate }
-
-// SetSpecDepth sets how many conservative one-hop windows past the sound
-// horizon a speculative window may extend (n < 1 is treated as 1).
+// SetSpecDepth sets the window depth: a window may run n hops past its
+// start when that exceeds the sound horizon, speculating past data not
+// sent yet (n < 1 is treated as 1, the conservative executor). Run
+// speculates only with workers > 1 — at one worker there is nothing to
+// overlap. Every simulated observable is byte-identical at any depth;
+// depth changes wall-clock behavior and the runtime.par.* telemetry only.
 func (cl *Cluster) SetSpecDepth(n int64) {
 	if n < 1 {
 		n = 1
@@ -451,43 +401,32 @@ func (cl *Cluster) SetSpecDepth(n int64) {
 	cl.specDepth = n
 }
 
-// SpecDepth reports the configured speculation depth.
+// SpecDepth reports the configured window depth.
 func (cl *Cluster) SpecDepth() int64 { return cl.specDepth }
 
-// ParStats summarizes the most recent window-parallel run: how many
-// lookahead windows it took, the summed window horizons (so mean horizon
-// = HorizonCycles/Windows), and the wall-clock nanoseconds spent in the
-// serial barrier sections (merge + requeue). Windows and HorizonCycles
-// are deterministic; BarrierNS is wall time and varies run to run.
+// ParStats summarizes the most recent window run: how many lookahead
+// windows it took, the summed window horizons (so mean horizon =
+// HorizonCycles/Windows), the wall-clock nanoseconds spent in the serial
+// barrier sections (merge + requeue), how many rollbacks it paid (a chip
+// hit a Recv whose data was not committed yet, gave back the rest of its
+// window, and was re-dispatched after the merge), and the summed window
+// cycles those rollbacks handed back. Windows and HorizonCycles are
+// deterministic for a given depth; rollbacks also depend on whether sends
+// are delivered in place (one thread, clean fabric) or merged at the
+// barrier; BarrierNS is wall time. Every field describes the host
+// partition, so they live only in the volatile registry and here — never
+// in exports.
 type ParStats struct {
 	Windows       int64
 	HorizonCycles int64
 	BarrierNS     int64
+	Rollbacks     int64
+	WastedCycles  int64
 }
 
-// ParStats reports the most recent RunParallel's window statistics
-// (zeroes if only the sequential executor has run).
-func (cl *Cluster) ParStats() ParStats {
-	return ParStats{Windows: cl.parWindows, HorizonCycles: cl.parHorizon, BarrierNS: cl.parBarrierNS}
-}
-
-// SpecStats summarizes the most recent speculative run: how many windows
-// ran, how many chip-stall transitions ("rollbacks" — a chip hit a Recv
-// whose data was not committed yet and gave back the rest of its window),
-// and the summed cycles those stalled chips handed back. All three depend
-// on the host partition (worker count, window cuts), so they are recorded
-// only in the volatile registry and here — never in deterministic exports.
-type SpecStats struct {
-	Windows      int64
-	Rollbacks    int64
-	WastedCycles int64
-}
-
-// SpecStats reports the most recent RunSpeculative's statistics (zeroes
-// if the speculative executor has not run).
-func (cl *Cluster) SpecStats() SpecStats {
-	return SpecStats{Windows: cl.specWindows, Rollbacks: cl.specRollbacks, WastedCycles: cl.specWasted}
-}
+// ParStats reports the most recent window run's statistics (zeroes if
+// only the sequential executor has run).
+func (cl *Cluster) ParStats() ParStats { return cl.par }
 
 // Chip returns TSP t's chip model (for loading data and reading results).
 func (cl *Cluster) Chip(t int) *tsp.Chip { return cl.chips[t] }
@@ -694,9 +633,9 @@ func (cl *Cluster) runnableHeap() chipHeap {
 // schedule never underflows a receiver. It returns the global finish cycle.
 //
 // With workers > 1 (SetWorkers / SetDefaultWorkers) the cluster runs the
-// conservative window-parallel executor instead (see parallel.go); its
-// results — finish cycle, chip state, counters, traces — are byte-identical
-// to the sequential run.
+// window-parallel executor instead (see parallel.go); its results — finish
+// cycle, chip state, counters, traces — are byte-identical to the
+// sequential run.
 func (cl *Cluster) Run() (int64, error) {
 	// An armed checkpoint cadence forces the window executor even at one
 	// worker: captures happen only at window barriers, so what a snapshot
@@ -705,10 +644,7 @@ func (cl *Cluster) Run() (int64, error) {
 	// Likewise an armed series cadence: samples happen only at window
 	// barriers, so the sampled values are worker-invariant by construction.
 	if cl.ckptEvery > 0 || cl.seriesEvery > 0 {
-		if cl.speculate && cl.workers > 1 {
-			return cl.RunSpeculative(cl.workers)
-		}
-		return cl.RunParallel(cl.workers)
+		return cl.runWindows()
 	}
 	if cl.workers > 1 {
 		// Windows only earn their keep when something observes the
@@ -722,13 +658,23 @@ func (cl *Cluster) Run() (int64, error) {
 		// callers that explicitly want the window machinery.
 		if min(cl.workers, goruntime.GOMAXPROCS(0)) > 1 ||
 			cl.rec != nil || cl.fplan != nil || cl.ber != 0 {
-			if cl.speculate {
-				return cl.RunSpeculative(cl.workers)
-			}
-			return cl.RunParallel(cl.workers)
+			return cl.runWindows()
 		}
 	}
 	return cl.RunSequential()
+}
+
+// runWindows is Run's route into the window loop. One worker has nothing
+// to overlap speculation with, so there it runs at depth 1 whatever depth
+// is configured.
+func (cl *Cluster) runWindows() (int64, error) {
+	depth := cl.specDepth
+	if cl.workers <= 1 {
+		depth = 1
+	}
+	finish, err := cl.runParallel(cl.workers, depth)
+	cl.noteRunEnd(finish)
+	return finish, err
 }
 
 // RunSequential is the single-threaded executor: a min-heap of chips keyed

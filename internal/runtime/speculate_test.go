@@ -2,7 +2,7 @@ package runtime
 
 import (
 	"bytes"
-	goruntime "runtime"
+	"fmt"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -10,76 +10,14 @@ import (
 	"repro/internal/mem"
 	"repro/internal/route"
 	"repro/internal/topo"
-	"repro/internal/tsp"
 )
 
-// runSpec runs a cluster on the speculative executor with the given
-// speculation depth (0 = keep the default).
-func runSpec(cl *Cluster, workers int, depth int64) (int64, error) {
-	cl.SetSpeculate(true)
-	if depth > 0 {
-		cl.SetSpecDepth(depth)
-	}
-	return cl.RunSpeculative(workers)
-}
-
-// TestSpeculativeMatchesSequential is the tentpole equivalence at its
-// strongest: the speculative executor's trace and metrics dumps must be
-// byte-identical to the plain sequential executor's — raw, unfiltered —
-// across workloads and worker counts, alongside the usual state identity.
-// No runtime.spec.* or runtime.par.* key may appear in either dump; the
-// volatile registry keeps host-partition telemetry out of the exports.
-func TestSpeculativeMatchesSequential(t *testing.T) {
-	cases := []struct {
-		name  string
-		build func(t *testing.T, workers int) (*Cluster, []mem.Addr)
-	}{
-		{"ring/2node", func(t *testing.T, w int) (*Cluster, []mem.Addr) {
-			return buildRing(t, 2, 7, 1, w), []mem.Addr{{}}
-		}},
-		{"pipeline/heavy", func(t *testing.T, w int) (*Cluster, []mem.Addr) {
-			return buildPipeline(t, 1, 3, 50, w), []mem.Addr{{Offset: 0}, {Offset: 1}, {Offset: 2}}
-		}},
-	}
-	for _, tc := range cases {
-		var seq *Cluster
-		var seqF int64
-		var seqE error
-		var addrs []mem.Addr
-		seqT, seqM := withRecorder(t, func() {
-			seq, addrs = tc.build(t, 1)
-			seqF, seqE = seq.RunSequential()
-		})
-		for _, workers := range []int{1, 2, 4, 8} {
-			var spec *Cluster
-			var specF int64
-			var specE error
-			specT, specM := withRecorder(t, func() {
-				spec, _ = tc.build(t, workers)
-				specF, specE = runSpec(spec, workers, 0)
-			})
-			name := tc.name + "/w" + string(rune('0'+workers))
-			assertSameResult(t, name, seq, spec, seqF, specF, seqE, specE, addrs)
-			if specT != seqT {
-				t.Errorf("%s: trace dump differs from sequential", name)
-			}
-			if specM != seqM {
-				t.Errorf("%s: metrics dump differs from sequential", name)
-			}
-			if ss := spec.SpecStats(); ss.Windows == 0 {
-				t.Errorf("%s: speculative run recorded no windows", name)
-			}
-		}
-	}
-}
-
-// TestSpecConservativeExportIdentity is the satellite-2 fix test: a
-// speculative and a conservative run with series sampling and checkpoint
-// capture armed must produce byte-identical trace, metrics, and series
-// exports and byte-identical checkpoint blobs — no filtering. The
-// runtime.spec.* rollback state lives in volatile counters exactly like
-// runtime.par.barrier_ns, so it is invisible to every export surface even
-// though the in-process SpecStats read-back sees it.
+// TestSpecConservativeExportIdentity: a speculative (depth 4) and a
+// conservative (depth 1) run with series sampling and checkpoint capture
+// armed must produce byte-identical trace, metrics, and series exports and
+// byte-identical checkpoint blobs — no filtering. Rollback state lives in
+// volatile counters exactly like runtime.par.barrier_ns, so it is
+// invisible to every export surface even though ParStats sees it.
 func TestSpecConservativeExportIdentity(t *testing.T) {
 	const ckptEvery, seriesEvery = 1300, 1300
 	type result struct {
@@ -88,22 +26,22 @@ func TestSpecConservativeExportIdentity(t *testing.T) {
 		err     error
 		t, m, s string
 	}
-	run := func(speculate bool, workers int) result {
+	run := func(depth int64, workers int) result {
 		var r result
 		r.t, r.m, r.s = withSeriesRecorder(t, seriesEvery, func() {
 			r.cl = buildRing(t, 2, 7, 1, workers)
 			r.cl.SetCheckpointCadence(ckptEvery)
-			r.cl.SetSpeculate(speculate)
+			r.cl.SetSpecDepth(depth)
 			r.finish, r.err = r.cl.Run()
 		})
 		if r.err != nil {
-			t.Fatalf("run(spec=%v w=%d): %v", speculate, workers, r.err)
+			t.Fatalf("run(depth=%d w=%d): %v", depth, workers, r.err)
 		}
 		return r
 	}
-	cons := run(false, 2)
+	cons := run(1, 2)
 	for _, workers := range []int{2, 4, 8} {
-		spec := run(true, workers)
+		spec := run(4, workers)
 		if spec.t != cons.t || spec.m != cons.m || spec.s != cons.s {
 			t.Errorf("w=%d: speculative exports differ from conservative (trace %v, metrics %v, series %v)",
 				workers, spec.t != cons.t, spec.m != cons.m, spec.s != cons.s)
@@ -114,46 +52,42 @@ func TestSpecConservativeExportIdentity(t *testing.T) {
 		}
 		for i := range cb {
 			if !bytes.Equal(sb[i].Blob, cb[i].Blob) {
-				t.Errorf("w=%d: checkpoint %d blob differs (runtime.spec state leaked into the snapshot?)", workers, i)
+				t.Errorf("w=%d: checkpoint %d blob differs (rollback state leaked into the snapshot?)", workers, i)
 			}
 		}
-		if ss := spec.cl.SpecStats(); ss.Windows == 0 {
-			t.Errorf("w=%d: no speculative windows recorded despite identical exports", workers)
+		if ps := spec.cl.ParStats(); ps.Windows == 0 {
+			t.Errorf("w=%d: no windows recorded despite identical exports", workers)
 		}
 	}
-	if rs := cons.cl.SpecStats(); rs.Windows != 0 || rs.Rollbacks != 0 {
-		t.Errorf("conservative run carries speculation stats %+v", rs)
+	if ps := cons.cl.ParStats(); ps.Rollbacks != 0 || ps.WastedCycles != 0 {
+		t.Errorf("conservative run carries speculation stats %+v", ps)
 	}
 }
 
-// TestSpecCollapsesBarriers is the perf shape the tentpole promises: on
-// the communication-bound ring the speculative executor must take fewer
+// TestSpecCollapsesBarriers is the perf shape speculation promises: on
+// the communication-bound ring a depth-4 window loop must take fewer
 // barriers than the conservative adaptive one (it runs chips past the
 // send-bound horizon), while recording the rollbacks it paid for them.
 func TestSpecCollapsesBarriers(t *testing.T) {
-	cons := buildRing(t, 2, 7, 1, 2)
-	if _, err := cons.RunParallel(2); err != nil {
-		t.Fatalf("conservative: %v", err)
+	run := func(depth int64) ParStats {
+		cl := buildRing(t, 2, 7, 1, 2)
+		cl.SetSpecDepth(depth)
+		if _, err := cl.RunParallel(2); err != nil {
+			t.Fatalf("depth %d: %v", depth, err)
+		}
+		return cl.ParStats()
 	}
-	spec := buildRing(t, 2, 7, 1, 2)
-	if _, err := runSpec(spec, 2, 0); err != nil {
-		t.Fatalf("speculative: %v", err)
+	cons, spec := run(1), run(4)
+	if spec.Windows == 0 || spec.Windows >= cons.Windows {
+		t.Errorf("speculative took %d windows, conservative %d — speculation bought nothing", spec.Windows, cons.Windows)
 	}
-	cw, sw := cons.ParStats().Windows, spec.SpecStats().Windows
-	if sw == 0 || sw >= cw {
-		t.Errorf("speculative took %d windows, conservative %d — speculation bought nothing", sw, cw)
-	}
-	if spec.SpecStats().Rollbacks == 0 {
-		t.Errorf("ring all-reduce speculated with zero rollbacks (stall detection dead?)")
+	if spec.Rollbacks == 0 || spec.WastedCycles == 0 {
+		t.Errorf("ring all-reduce speculated with stats %+v (stall detection dead?)", spec)
 	}
 	// Deeper speculation can only merge barriers, never add them.
 	prev := int64(-1)
 	for _, depth := range []int64{1, 2, 4, 8} {
-		cl := buildRing(t, 2, 7, 1, 2)
-		if _, err := runSpec(cl, 2, depth); err != nil {
-			t.Fatalf("depth %d: %v", depth, err)
-		}
-		w := cl.SpecStats().Windows
+		w := run(depth).Windows
 		if prev >= 0 && w > prev {
 			t.Errorf("depth %d took %d windows, shallower depth took %d", depth, w, prev)
 		}
@@ -161,53 +95,17 @@ func TestSpecCollapsesBarriers(t *testing.T) {
 	}
 }
 
-// TestSpecBoundarySendCausality pins the sharpest cross-window edge under
-// speculation: a Recv at exactly send + HopCycles must consume the vector
-// (the stall machinery parks the receiver until the barrier flush), and a
-// Recv one cycle earlier must surface the identical underflow fault the
-// sequential executor reports, at every worker count.
-func TestSpecBoundarySendCausality(t *testing.T) {
-	const arrival = 100 + int64(route.HopCycles)
-	want := tsp.VectorOf([]float32{42, -7, 3.5})
-
-	seq := boundaryCluster(t, 1, arrival)
-	seqF, seqE := seq.RunSequential()
-	if seqE != nil {
-		t.Fatalf("sequential: %v", seqE)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		spec := boundaryCluster(t, workers, arrival)
-		specF, specE := runSpec(spec, workers, 0)
-		assertSameResult(t, "spec-boundary", seq, spec, seqF, specF, seqE, specE, nil)
-		if got := spec.Chip(1).Stream(3); got != want {
-			t.Errorf("workers=%d: received vector differs (speculation admitted the recv early?)", workers)
-		}
-	}
-
-	seqEarly := boundaryCluster(t, 1, arrival-1)
-	_, seqErr := seqEarly.RunSequential()
-	sf, ok := seqErr.(*tsp.Fault)
-	if !ok || sf.Kind != tsp.ErrUnderflow {
-		t.Fatalf("sequential early recv: want underflow, got %v", seqErr)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		specEarly := boundaryCluster(t, workers, arrival-1)
-		_, specErr := runSpec(specEarly, workers, 0)
-		pf, ok := specErr.(*tsp.Fault)
-		if !ok || pf.Kind != sf.Kind || pf.Cycle != sf.Cycle || pf.Instr != sf.Instr {
-			t.Errorf("workers=%d: fault differs: seq %v, spec %v", workers, seqErr, specErr)
-		}
-	}
-}
-
-// TestSpecFaultMidSpeculatedWindow is the satellite-3 coverage: fault-plan
-// events (chip death, node death, link carrier loss) landing inside a
-// speculated window. The abandonment identity against the sequential
-// executor — same error, same finish — must hold, and the full dumps must
-// be byte-identical across worker counts 1/2/8. The death cycles are
-// chosen off the hop grid so the clamp lands mid-window, exercising the
-// death-clamp × NextSendBound interaction in the horizon derivation.
-func TestSpecFaultMidSpeculatedWindow(t *testing.T) {
+// checkFaultMidWindow: fault-plan events (chip death, node death, link
+// carrier loss) landing inside a window of the given depth. The
+// abandonment identity against the sequential executor — same error, same
+// finish — must hold, and the full dumps must be byte-identical across
+// worker counts 1/2/8. Against the sequential executor only that identity
+// is promised on a faulted run (a window steps surviving chips to the
+// horizon before the barrier surfaces the fault). The death cycles sit
+// both on the hop grid and off it, so the death clamp lands on a barrier
+// and mid-window, exercising the death-clamp × NextSendBound interaction
+// in the horizon derivation.
+func checkFaultMidWindow(t *testing.T, depth int64) {
 	cases := []struct {
 		name   string
 		events func(sys *topo.System) []faultplan.Event
@@ -250,125 +148,42 @@ func TestSpecFaultMidSpeculatedWindow(t *testing.T) {
 				t.Fatalf("expected the fault plan to abandon the run")
 			}
 			var refTrace, refMetrics string
-			var refSpec *Cluster
+			var ref *Cluster
 			for i, workers := range []int{1, 2, 8} {
-				var spec *Cluster
-				var specF int64
-				var specE error
+				var par *Cluster
+				var parF int64
+				var parE error
 				trace, metrics := withRecorder(t, func() {
-					spec = build(workers)
-					specF, specE = runSpec(spec, workers, 0)
+					par = build(workers)
+					par.SetSpecDepth(depth)
+					parF, parE = par.RunParallel(workers)
 				})
-				if specF != seqF {
-					t.Errorf("workers=%d: finish %d != sequential %d", workers, specF, seqF)
+				if parF != seqF {
+					t.Errorf("depth %d workers %d: finish %d != sequential %d", depth, workers, parF, seqF)
 				}
-				if specE == nil || specE.Error() != seqE.Error() {
-					t.Errorf("workers=%d: error %v != sequential %v", workers, specE, seqE)
+				if parE == nil || parE.Error() != seqE.Error() {
+					t.Errorf("depth %d workers %d: error %v != sequential %v", depth, workers, parE, seqE)
 				}
 				if i == 0 {
-					refTrace, refMetrics, refSpec = trace, metrics, spec
+					refTrace, refMetrics, ref = trace, metrics, par
 					continue
 				}
 				if trace != refTrace || metrics != refMetrics {
-					t.Errorf("workers=%d: dumps differ from workers=1", workers)
+					t.Errorf("depth %d workers %d: dumps differ from workers=1", depth, workers)
 				}
-				assertSameResult(t, tc.name, refSpec, spec, seqF, specF, seqE, specE, nil)
+				assertSameResult(t, fmt.Sprintf("%s/depth%d", tc.name, depth), ref, par, seqF, parF, seqE, parE, nil)
 			}
 		})
 	}
 }
 
-// TestSpecCheckpointCadenceMidWindow arms both cadences on the
-// compute-heavy pipeline and requires the speculative executor to clamp
-// its extended windows to every cadence line: dumps, series, and every
-// checkpoint blob byte-identical to the workers=1 conservative reference,
-// and a mid-run snapshot must restore into a speculative cluster and
-// finish to the exact straight-run state (exercising the micro-snapshot
-// baseline invalidation on restore).
-func TestSpecCheckpointCadenceMidWindow(t *testing.T) {
-	const ckptEvery, seriesEvery = 650, 1300
-	build := func(workers int, speculate bool) *Cluster {
-		cl := buildPipeline(t, 1, 3, 50, workers)
-		cl.SetCheckpointCadence(ckptEvery)
-		cl.SetSpeculate(speculate)
-		return cl
-	}
-	addrs := []mem.Addr{{Offset: 0}, {Offset: 1}, {Offset: 2}}
+// TestFaultAtAdaptiveBarrier runs the mid-window fault cases on the
+// conservative window loop (depth 1), whose adaptive horizons extend over
+// the death cycles.
+func TestFaultAtAdaptiveBarrier(t *testing.T) { checkFaultMidWindow(t, 1) }
 
-	var straight *Cluster
-	var sF int64
-	var sE error
-	sTrace, sMetrics, sSeries := withSeriesRecorder(t, seriesEvery, func() {
-		straight = build(1, false)
-		sF, sE = straight.Run()
-	})
-	if sE != nil {
-		t.Fatalf("straight run: %v", sE)
-	}
-	store := straight.Checkpoints()
-
-	for _, workers := range []int{2, 8} {
-		var spec *Cluster
-		var pF int64
-		var pE error
-		pTrace, pMetrics, pSeries := withSeriesRecorder(t, seriesEvery, func() {
-			spec = build(workers, true)
-			pF, pE = spec.Run()
-		})
-		if pTrace != sTrace || pMetrics != sMetrics || pSeries != sSeries {
-			t.Errorf("workers=%d: dumps differ from the straight run", workers)
-		}
-		assertSameResult(t, "spec-ckpt-mid-window", straight, spec, sF, pF, sE, pE, addrs)
-		got := spec.Checkpoints()
-		if len(got) != len(store) {
-			t.Fatalf("workers=%d: %d checkpoints, want %d", workers, len(got), len(store))
-		}
-		for i := range store {
-			if !bytes.Equal(got[i].Blob, store[i].Blob) {
-				t.Errorf("workers=%d: checkpoint %d blob differs", workers, i)
-			}
-		}
-	}
-
-	mid := store[len(store)/2]
-	snap, err := checkpoint.Decode(mid.Blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var restored *Cluster
-	var rF int64
-	var rE error
-	withPrimedRecorder(t, snap.Obs, func() {
-		restored = build(8, true)
-		if err := restored.RestoreSnapshot(snap); err != nil {
-			t.Fatal(err)
-		}
-		rF, rE = restored.Run()
-	})
-	assertSameResult(t, "spec-restore-mid-window", straight, restored, sF, rF, sE, rE, addrs)
-}
-
-// TestSpecPoolUnderRealParallelism raises GOMAXPROCS so the persistent
-// worker pool actually spawns and the speculative round protocol hands
-// chips across threads; under -race this is the memory-model audit of the
-// stall-and-merge machinery.
-func TestSpecPoolUnderRealParallelism(t *testing.T) {
-	prev := goruntime.GOMAXPROCS(4)
-	defer goruntime.GOMAXPROCS(prev)
-
-	seqR := buildRing(t, 2, 7, 1, 1)
-	seqRF, seqRE := seqR.RunSequential()
-	specR := buildRing(t, 2, 7, 1, 4)
-	specRF, specRE := runSpec(specR, 4, 0)
-	assertSameResult(t, "spec-pool/ring", seqR, specR, seqRF, specRF, seqRE, specRE, []mem.Addr{{}})
-
-	seqP := buildPipeline(t, 1, 6, 50, 1)
-	seqPF, seqPE := seqP.RunSequential()
-	specP := buildPipeline(t, 1, 6, 50, 4)
-	specPF, specPE := runSpec(specP, 4, 0)
-	assertSameResult(t, "spec-pool/pipeline", seqP, specP, seqPF, specPF, seqPE, specPE,
-		[]mem.Addr{{Offset: 0}, {Offset: 1}})
-}
+// TestSpecFaultMidSpeculatedWindow runs them speculatively (depth 4).
+func TestSpecFaultMidSpeculatedWindow(t *testing.T) { checkFaultMidWindow(t, 4) }
 
 // TestDeltaSnapshotMatchesFullCapture pins the micro-snapshot fast path's
 // contract: a delta capture (dirty-page reuse against the previous
@@ -424,18 +239,18 @@ func TestDeltaSnapshotMatchesFullCapture(t *testing.T) {
 	}
 }
 
-// TestSpecSingleWorkerMatchesRouting: Run() with speculation armed but
+// TestSpecSingleWorkerMatchesRouting: Run() with a speculative depth but
 // workers=1 must take the sequential path (there is nothing to overlap),
-// matching RunSequential exactly and recording no speculative windows.
+// matching RunSequential exactly and recording no windows.
 func TestSpecSingleWorkerMatchesRouting(t *testing.T) {
 	ref := buildRing(t, 2, 7, 1, 1)
 	refF, refE := ref.RunSequential()
 
 	cl := buildRing(t, 2, 7, 1, 1)
-	cl.SetSpeculate(true)
+	cl.SetSpecDepth(4)
 	f, err := cl.Run()
 	assertSameResult(t, "spec-w1", ref, cl, refF, f, refE, err, []mem.Addr{{}})
-	if ss := cl.SpecStats(); ss.Windows != 0 {
-		t.Errorf("workers=1 Run recorded %d speculative windows, want 0", ss.Windows)
+	if ps := cl.ParStats(); ps.Windows != 0 {
+		t.Errorf("workers=1 Run recorded %d windows, want 0", ps.Windows)
 	}
 }

@@ -14,9 +14,8 @@
 // busy/stall charge, no counter or span emission, and no fault, so the
 // executed prefix is always exactly the committed sequential prefix and
 // there is never wrong state to roll back. The cluster executor re-peeks
-// at the next barrier (after the merge may have delivered the envelope)
-// and classifies stalls that can never be satisfied — the sender is dead,
-// finished, or provably too late by its NextSendBound — as the same
+// at the window barrier (after the merge may have delivered the envelope)
+// and classifies stalls that can never be satisfied as the same
 // receiver-underflow fault the sequential executor raises, at the same
 // cycle, by re-executing the Recv through the normal path.
 package tsp
