@@ -280,24 +280,43 @@ var clusterBenchCases = []struct {
 	{"pipeline/64chip", true, 8},
 }
 
-// buildBenchCluster constructs and preloads one benchmark cluster. Run
-// consumes cluster state, so each iteration rebuilds (outside the timer).
-func buildBenchCluster(b testing.TB, pipeline bool, nodes, workers int) *rtime.Cluster {
+// The benchmark programs' shape: pipeline waves, matmuls per stage or
+// round, and all-reduce rounds.
+const benchWaves, benchMatmuls, benchRounds = 8, 2, 7
+
+// benchPrograms builds the topology and the programs of one benchmark
+// cell.
+func benchPrograms(b testing.TB, pipeline bool, nodes int) (*topo.System, []*isa.Program) {
 	b.Helper()
-	const waves, matmuls, rounds = 8, 2, 7
 	sys, err := topo.New(topo.Config{Nodes: nodes})
 	if err != nil {
 		b.Fatal(err)
 	}
 	var progs []*isa.Program
 	if pipeline {
-		progs, err = rtime.PipelinePrograms(sys, waves, matmuls)
+		progs, err = rtime.PipelinePrograms(sys, benchWaves, benchMatmuls)
 	} else {
-		progs, err = rtime.RingAllReducePrograms(sys, rounds, matmuls)
+		progs, err = rtime.RingAllReducePrograms(sys, benchRounds, benchMatmuls)
 	}
 	if err != nil {
 		b.Fatal(err)
 	}
+	return sys, progs
+}
+
+// buildBenchCluster constructs and preloads one benchmark cluster. Run
+// consumes cluster state, so each iteration rebuilds (outside the timer).
+func buildBenchCluster(b testing.TB, pipeline bool, nodes, workers int) *rtime.Cluster {
+	b.Helper()
+	sys, progs := benchPrograms(b, pipeline, nodes)
+	return newBenchCluster(b, sys, progs, pipeline, workers)
+}
+
+// newBenchCluster builds a cluster running progs and preloads its inputs:
+// each chip's bias (pipeline) or contribution (all-reduce), and stage 0's
+// waves.
+func newBenchCluster(b testing.TB, sys *topo.System, progs []*isa.Program, pipeline bool, workers int) *rtime.Cluster {
+	b.Helper()
 	cl, err := rtime.New(sys, progs)
 	if err != nil {
 		b.Fatal(err)
@@ -308,7 +327,7 @@ func buildBenchCluster(b testing.TB, pipeline bool, nodes, workers int) *rtime.C
 		if pipeline {
 			cl.Chip(c).SetStream(rtime.PipeBias, v)
 			if c%topo.TSPsPerNode == 0 {
-				for w := 0; w < waves; w++ {
+				for w := 0; w < benchWaves; w++ {
 					in := tsp.VectorOf([]float32{float32(c + w + 1)})
 					cl.Chip(c).Mem.Write(mem.Addr{Offset: w}, in[:])
 				}
@@ -319,6 +338,26 @@ func buildBenchCluster(b testing.TB, pipeline bool, nodes, workers int) *rtime.C
 		}
 	}
 	return cl
+}
+
+// BenchmarkClusterBuild times building and preloading each 64-chip
+// cluster the run benchmarks execute — construction alone, with the
+// topology and programs built once outside the loop — and reports its
+// allocations.
+func BenchmarkClusterBuild(b *testing.B) {
+	for _, bc := range clusterBenchCases {
+		if bc.nodes != 8 {
+			continue
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			sys, progs := benchPrograms(b, bc.pipeline, bc.nodes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				newBenchCluster(b, sys, progs, bc.pipeline, 1)
+			}
+		})
+	}
 }
 
 // benchClusterRun times one executor configuration across the workload

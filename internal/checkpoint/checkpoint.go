@@ -32,12 +32,16 @@
 //
 // Encode is the one encoder. It sums the section lengths first, so each
 // blob is one allocation of its exact final size, and writes the stream
-// file and the MXM weight block of each chip in bulk. Decode likewise
-// allocates the chips and their memory vectors once each, at the counts
-// it has bounds-checked.
+// file and the MXM weight block of each chip in bulk. A chip that never
+// loaded weights (nil ChipState.Weights) writes an all-zero block, and
+// Decode reads an all-zero block back as nil, so the format is the same
+// whether or not the buffer was ever allocated. Decode allocates the
+// chips, the loaded weight buffers and each chip's memory vectors once
+// each, at the counts it has bounds-checked.
 package checkpoint
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -139,6 +143,9 @@ const (
 	// chipFixedLen is a chip section without its memory vectors.
 	chipFixedLen = streamsLen + weightsLen + 4 + int(isa.NumUnits)*unitLen + 8 + 8 + 4
 )
+
+// zeroWeights is the encoding of a weight buffer that was never loaded.
+var zeroWeights [weightsLen]byte
 
 type enc struct{ b []byte }
 
@@ -313,11 +320,16 @@ func appendChip(e *enc, c *tsp.ChipState) {
 		e.bytes(c.Streams[i][:])
 	}
 	w := e.grow(weightsLen)
-	for r := range c.Weights {
-		for j, f := range c.Weights[r] {
-			binary.LittleEndian.PutUint32(w[4*j:], math.Float32bits(f))
+	if c.Weights == nil {
+		// Never loaded: the buffer reads as zero, and so does its block.
+		clear(w)
+	} else {
+		for r := range c.Weights {
+			for j, f := range c.Weights[r] {
+				binary.LittleEndian.PutUint32(w[4*j:], math.Float32bits(f))
+			}
+			w = w[4*tsp.FloatLanes:]
 		}
-		w = w[4*tsp.FloatLanes:]
 	}
 	e.u32(uint32(len(c.Units)))
 	for u := range c.Units {
@@ -561,12 +573,18 @@ func Decode(blob []byte) (*Snapshot, error) {
 	s.MBEs = d.i64()
 	s.FirstMBECycle = d.i64()
 
-	// The chips and their memory vectors, nearly all of a blob's bytes,
-	// are allocated once, at the count the bounds check has accepted.
+	// The chips, their weight buffers and their memory vectors, nearly
+	// all of a blob's bytes, are allocated once each, at the count the
+	// bounds check has accepted.
 	nChips := d.count(chipFixedLen)
 	if nChips > 0 {
 		s.Chips = make([]tsp.ChipState, nChips)
 	}
+	// slab serves the weight buffers of the chips that loaded weights. It
+	// is allocated at the first such chip, with room for every chip from
+	// there on; an all-zero block is a chip that never loaded weights,
+	// and its Weights stay nil.
+	var slab [][tsp.WeightRows][tsp.FloatLanes]float32
 	for ci := 0; ci < nChips && d.err == nil; ci++ {
 		c := &s.Chips[ci]
 		streams := d.take(streamsLen)
@@ -577,11 +595,17 @@ func Decode(blob []byte) (*Snapshot, error) {
 		for i := range c.Streams {
 			copy(c.Streams[i][:], streams[i*tsp.VectorBytes:])
 		}
-		for r := range c.Weights {
-			for j := range c.Weights[r] {
-				c.Weights[r][j] = math.Float32frombits(binary.LittleEndian.Uint32(weights[4*j:]))
+		if !bytes.Equal(weights, zeroWeights[:]) {
+			if len(slab) == 0 {
+				slab = make([][tsp.WeightRows][tsp.FloatLanes]float32, nChips-ci)
 			}
-			weights = weights[4*tsp.FloatLanes:]
+			c.Weights, slab = &slab[0], slab[1:]
+			for r := range c.Weights {
+				for j := range c.Weights[r] {
+					c.Weights[r][j] = math.Float32frombits(binary.LittleEndian.Uint32(weights[4*j:]))
+				}
+				weights = weights[4*tsp.FloatLanes:]
+			}
 		}
 		nUnits := d.count(unitLen)
 		if d.err == nil && nUnits != len(c.Units) {

@@ -24,6 +24,7 @@ func testSnapshot() *Snapshot {
 		chip.Streams[0][i] = byte(i * 3)
 	}
 	chip.Streams[63][0] = 0xAA
+	chip.Weights = new([tsp.WeightRows][tsp.FloatLanes]float32)
 	chip.Weights[0][0] = 1.5
 	chip.Weights[159][3] = -2.25
 	chip.Units[0] = tsp.UnitState{PC: 3, Cursor: 990, Parked: true, Busy: 7}
@@ -270,5 +271,28 @@ func TestCheckpointGoldenV2(t *testing.T) {
 	sum := sha256.Sum256(Encode(testSnapshot()))
 	if got := hex.EncodeToString(sum[:]); got != goldenSnapshotSHA256 {
 		t.Errorf("Encode(testSnapshot()) SHA-256 = %s, want %s", got, goldenSnapshotSHA256)
+	}
+}
+
+// TestCheckpointNilWeights: a chip that never loaded weights encodes
+// exactly like one whose weight buffer holds explicit zeros, and an
+// all-zero weight block decodes to nil Weights.
+func TestCheckpointNilWeights(t *testing.T) {
+	never, zeros := testSnapshot(), testSnapshot()
+	never.Chips[0].Weights = nil
+	zeros.Chips[0].Weights = new([tsp.WeightRows][tsp.FloatLanes]float32)
+	blob := Encode(never)
+	if !bytes.Equal(blob, Encode(zeros)) {
+		t.Fatal("Encode of nil weights differs from Encode of explicit zeros")
+	}
+	got, err := Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Chips[0].Weights != nil {
+		t.Error("an all-zero weight block decoded to non-nil Weights")
+	}
+	if !reflect.DeepEqual(got, never) {
+		t.Error("round trip of nil weights mismatch")
 	}
 }

@@ -9,6 +9,7 @@
 package mem
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/ecc"
@@ -25,6 +26,23 @@ type State struct {
 	CorrectedSBEs int64
 	DetectedMBEs  int64
 	Vectors       []VectorState
+}
+
+// Validate reports whether an SRAM can hold the state, as read from an
+// external snapshot: every vector's linear index inside the chip and the
+// vectors in strictly ascending order, as a capture emits them.
+func (s *State) Validate() error {
+	prev := -1
+	for _, vs := range s.Vectors {
+		if vs.Linear < 0 || vs.Linear >= VectorsPerChip {
+			return fmt.Errorf("mem: vector at linear index %d outside [0, %d)", vs.Linear, VectorsPerChip)
+		}
+		if vs.Linear <= prev {
+			return fmt.Errorf("mem: vector at linear index %d follows %d (want strictly ascending)", vs.Linear, prev)
+		}
+		prev = vs.Linear
+	}
+	return nil
 }
 
 // State captures the memory's resident vectors and error tallies.

@@ -213,10 +213,12 @@ func (cl *Cluster) buildSnapshot(t int64) *checkpoint.Snapshot {
 // freshly built cluster: chips, mailboxes, link error models (including
 // their RNG cursors and repair margins), FEC tallies, and the repaired
 // set. The cluster must be built from the same topology and programs the
-// snapshot was captured under; mismatches are reported before any state
-// is touched. The recorder is NOT restored — a ladder keeps accumulating
-// onto the live recorder; equivalence tests prime a fresh recorder with
-// the snapshot's Obs state via obs.Recorder.LoadState before building.
+// snapshot was captured under; mismatches, and chip state the programs
+// and address space cannot hold (tsp.Chip.CheckState), are reported
+// before any state is touched. The recorder is NOT restored — a ladder
+// keeps accumulating onto the live recorder; equivalence tests prime a
+// fresh recorder with the snapshot's Obs state via obs.Recorder.LoadState
+// before building.
 func (cl *Cluster) RestoreSnapshot(s *checkpoint.Snapshot) error {
 	if len(s.Chips) != len(cl.chips) {
 		return fmt.Errorf("runtime: snapshot has %d chips, cluster has %d", len(s.Chips), len(cl.chips))
@@ -228,6 +230,11 @@ func (cl *Cluster) RestoreSnapshot(s *checkpoint.Snapshot) error {
 		if len(s.Mailboxes[i]) != len(cl.posts[i].queues) {
 			return fmt.Errorf("runtime: snapshot chip %d has %d queues, cluster has %d",
 				i, len(s.Mailboxes[i]), len(cl.posts[i].queues))
+		}
+	}
+	for i, ch := range cl.chips {
+		if err := ch.CheckState(&s.Chips[i]); err != nil {
+			return fmt.Errorf("runtime: snapshot chip %d: %w", i, err)
 		}
 	}
 	nLinks := len(cl.sys.Links())
@@ -258,7 +265,7 @@ func (cl *Cluster) RestoreSnapshot(s *checkpoint.Snapshot) error {
 			q.buf = q.buf[:0]
 			q.head = 0
 			for _, env := range s.Mailboxes[i][qi] {
-				q.push(envelope{v: env.V, arrival: env.Arrival})
+				*q.pushSlot(env.Arrival) = env.V
 			}
 		}
 	}

@@ -8,9 +8,11 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/faultplan"
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/topo"
+	"repro/internal/tsp"
 )
 
 // ringLink returns the link chip a → chip b used by the ring workloads.
@@ -429,5 +431,76 @@ func TestCheckpointCaptureMatchesEncode(t *testing.T) {
 	}
 	if got := r.State().Counters["checkpoint.bytes"]; got != total {
 		t.Errorf("checkpoint.bytes = %d, want %d", got, total)
+	}
+}
+
+// TestRestoreRejectsInvalidChipState: a snapshot that passes Decode (its
+// CRC is valid) but carries chip state the cluster's programs and address
+// space cannot hold is refused by RestoreSnapshot with an error, and the
+// cluster is left exactly as built. The first three mutations are a PC of
+// 2^40, a cursor of −2^60 and an SRAM vector at linear index −7.
+func TestRestoreRejectsInvalidChipState(t *testing.T) {
+	store, _ := captureChain(t)
+	blob := store[len(store)-1].Blob
+	progs, err := RingAllReducePrograms(buildRing(t, 3, 7, 1, 1).sys, 7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	icuLen := len(progs[1].Streams[isa.ICU])
+	mutations := []struct {
+		name   string
+		mutate func(c *tsp.ChipState)
+	}{
+		{"pc 2^40", func(c *tsp.ChipState) { c.Units[isa.VXM].PC = 1 << 40 }},
+		{"cursor -2^60", func(c *tsp.ChipState) { c.Units[isa.C2C].Cursor = -1 << 60 }},
+		{"linear -7", func(c *tsp.ChipState) {
+			c.Mem.Vectors = append([]mem.VectorState{{Linear: -7}}, c.Mem.Vectors...)
+		}},
+		{"pc past stream end", func(c *tsp.ChipState) { c.Units[isa.ICU].PC = icuLen + 1 }},
+		{"negative pc", func(c *tsp.ChipState) { c.Units[isa.ICU].PC = -1 }},
+		{"negative busy", func(c *tsp.ChipState) { c.Units[isa.MXM].Busy = -1 }},
+		{"negative stall", func(c *tsp.ChipState) { c.Units[isa.MEM].Stall = -1 }},
+		{"linear past chip", func(c *tsp.ChipState) {
+			c.Mem.Vectors = append(c.Mem.Vectors, mem.VectorState{Linear: mem.VectorsPerChip})
+		}},
+		{"linear repeated", func(c *tsp.ChipState) {
+			c.Mem.Vectors = append(c.Mem.Vectors, mem.VectorState{Linear: 3}, mem.VectorState{Linear: 3})
+		}},
+	}
+	for _, m := range mutations {
+		t.Run(m.name, func(t *testing.T) {
+			snap, err := checkpoint.Decode(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.mutate(&snap.Chips[1])
+			mutated, err := checkpoint.Decode(checkpoint.Encode(snap))
+			if err != nil {
+				t.Fatalf("re-encoded snapshot does not decode: %v", err)
+			}
+			cl := buildRing(t, 3, 7, 1, 1)
+			before := make([][]byte, len(cl.chips))
+			for i, ch := range cl.chips {
+				st := ch.State()
+				before[i] = checkpoint.EncodeChip(&st)
+			}
+			if err := cl.RestoreSnapshot(mutated); err == nil {
+				t.Fatal("RestoreSnapshot accepted the mutated snapshot")
+			}
+			for i, ch := range cl.chips {
+				st := ch.State()
+				if string(checkpoint.EncodeChip(&st)) != string(before[i]) {
+					t.Fatalf("chip %d changed by a refused restore", i)
+				}
+			}
+		})
+	}
+	// The unmutated snapshot restores.
+	snap, err := checkpoint.Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := buildRing(t, 3, 7, 1, 1).RestoreSnapshot(snap); err != nil {
+		t.Fatalf("unmutated snapshot refused: %v", err)
 	}
 }

@@ -206,7 +206,8 @@ type envelope struct {
 // dominates the buffer, so capacity stays proportional to the peak number
 // of simultaneously in-flight vectors, not to the total ever sent.
 // Envelopes hold no pointers, so consumed slots need no clearing — the
-// bytes are simply overwritten when the slot is reused.
+// bytes are simply overwritten when the slot is reused. A queue allocates
+// nothing until its first push: most chips use one or two of their links.
 type linkQueue struct {
 	buf  []envelope
 	head int
@@ -216,13 +217,16 @@ func (q *linkQueue) len() int { return len(q.buf) - q.head }
 
 func (q *linkQueue) front() *envelope { return &q.buf[q.head] }
 
-func (q *linkQueue) push(e envelope) { q.buf = append(q.buf, e) }
-
 // pushSlot appends an envelope with the given arrival and returns its
 // payload slot so the producer can fill the 320 bytes in place — the one
 // per-hop copy (source register → in-flight queue) instead of the 3–4
 // value copies the old Send/deliver/push chain made.
 func (q *linkQueue) pushSlot(arrival int64) *tsp.Vector {
+	if q.buf == nil {
+		// Room for a handful of in-flight vectors, so steady-state
+		// traffic never pays append's growth copies.
+		q.buf = make([]envelope, 0, 8)
+	}
 	q.buf = append(q.buf, envelope{arrival: arrival})
 	return &q.buf[len(q.buf)-1].v
 }
@@ -316,13 +320,7 @@ func New(sys *topo.System, programs []*isa.Program) (*Cluster, error) {
 		chip := tsp.New(t, prog, adapter)
 		cl.chips = append(cl.chips, chip)
 		cl.c2cs = append(cl.c2cs, adapter)
-		mb := &mailbox{queues: make([]linkQueue, len(sys.Out(topo.TSPID(t))))}
-		for i := range mb.queues {
-			// Seed each queue with room for a handful of in-flight vectors
-			// so steady-state traffic never pays append's growth copies.
-			mb.queues[i].buf = make([]envelope, 0, 8)
-		}
-		cl.posts = append(cl.posts, mb)
+		cl.posts = append(cl.posts, &mailbox{queues: make([]linkQueue, len(sys.Out(topo.TSPID(t))))})
 	}
 	// Resolve every link's inbound local index on its destination chip up
 	// front: a miswired topology (a link whose reverse is absent from the

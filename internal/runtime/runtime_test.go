@@ -342,3 +342,27 @@ func TestReducedOverheadLargerSystem(t *testing.T) {
 		t.Fatalf("overhead = %.3f, want ~0.03", a.OverheadFraction())
 	}
 }
+
+// TestClusterBuildAllocates: building a 64-chip ring cluster allocates
+// only what its programs touch — no weight buffers, no stream registers,
+// no link queues until the run needs them — well under 1 MiB.
+func TestClusterBuildAllocates(t *testing.T) {
+	sys, err := topo.New(topo.Config{Nodes: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs, err := RingAllReducePrograms(sys, 7, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := New(sys, progs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 1<<20 {
+		t.Errorf("64-chip New allocates %d bytes, want under 1 MiB", got)
+	}
+}

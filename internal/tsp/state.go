@@ -9,6 +9,8 @@
 package tsp
 
 import (
+	"fmt"
+
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
@@ -25,8 +27,12 @@ type UnitState struct {
 
 // ChipState is a point-in-time copy of one chip mid-execution.
 type ChipState struct {
+	// Streams are the stream registers' architectural bytes; a register
+	// never written reads as zero.
 	Streams [NumStreams]Vector
-	Weights [WeightRows][FloatLanes]float32
+	// Weights is a copy of the MXM weight buffer, nil when the chip never
+	// loaded weights (a nil buffer reads as all zero).
+	Weights *[WeightRows][FloatLanes]float32
 	Units   [isa.NumUnits]UnitState
 	Mem     mem.State
 }
@@ -63,11 +69,10 @@ func (c *Chip) StateWithPrev(prev *ChipState) ChipState {
 
 // capture assembles the chip-side state around an already-captured memory.
 func (c *Chip) capture(ms mem.State) ChipState {
-	s := ChipState{Weights: c.Weights, Mem: ms}
-	for i := range s.Streams {
-		// Materialize lane-cached registers so the snapshot carries the
-		// architectural bytes — the determinism boundary.
-		s.Streams[i] = *c.streamBytes(i)
+	s := ChipState{Streams: c.Streams(), Mem: ms}
+	if c.weights != nil {
+		w := *c.weights
+		s.Weights = &w
 	}
 	for u := range s.Units {
 		s.Units[u] = UnitState{
@@ -82,20 +87,46 @@ func (c *Chip) capture(ms mem.State) ChipState {
 	return s
 }
 
+// CheckState reports whether s can be restored into this chip, touching
+// nothing: every unit's PC inside its program stream ([0, len], len
+// meaning finished), no negative cursor, busy or stall count, and a
+// memory state the SRAM can hold. A snapshot read from outside the
+// process must pass it before any chip is restored.
+func (c *Chip) CheckState(s *ChipState) error {
+	for u := range s.Units {
+		us := &s.Units[u]
+		if us.PC < 0 || us.PC > c.slen[u] {
+			return fmt.Errorf("tsp: %v PC %d outside its program stream [0, %d]", isa.Unit(u), us.PC, c.slen[u])
+		}
+		if us.Cursor < 0 || us.Busy < 0 || us.Stall < 0 {
+			return fmt.Errorf("tsp: %v has a negative cursor, busy or stall count (%d, %d, %d)",
+				isa.Unit(u), us.Cursor, us.Busy, us.Stall)
+		}
+	}
+	return s.Mem.Validate()
+}
+
 // SetState restores a captured state into the chip. The chip must be
 // loaded with the same program the snapshot was taken under; the deskew
 // oracle (SetDeskewDelta), recorder attachment, and C2C binding are
 // construction-time wiring and are left untouched.
 func (c *Chip) SetState(s ChipState) {
-	c.streams = s.Streams
-	for i := range c.streams {
-		c.byteOK[i] = true
-		c.laneOK[i] = false
-		// Drop any cached nonzero-top: New() marks every register nzOK
-		// with nzTop=0, and the restored bytes are authoritative now.
-		c.nzOK[i] = false
+	for i := range s.Streams {
+		if s.Streams[i] == (Vector{}) {
+			// An all-zero register reads exactly like an unwritten one.
+			c.regs[i] = nil
+		} else {
+			// byteWrite drops the lane cache and the nonzero summary: the
+			// restored bytes are authoritative now.
+			*c.byteWrite(i) = s.Streams[i]
+		}
 	}
-	c.Weights = s.Weights
+	if s.Weights == nil {
+		c.weights = nil
+	} else {
+		w := *s.Weights
+		c.weights = &w
+	}
 	c.Mem.SetState(s.Mem)
 	for u := range s.Units {
 		c.pc[u] = s.Units[u].PC

@@ -23,7 +23,7 @@
 // wrong shape for the ALUs: re-deriving 80 float32 lanes with per-lane
 // bit fiddling on every operand of every vector instruction dominated the
 // simulator's hot loop. Each stream register therefore carries both
-// representations with per-register validity bits:
+// representations with validity bits:
 //
 //   - a byte write (Recv, Read, SetStream, SetState) stores bytes and
 //     invalidates the lane cache;
@@ -36,6 +36,17 @@
 // architectural byte observed at a boundary is bit-for-bit what the
 // original per-instruction byte path produced. reference.go retains that
 // original path verbatim as the oracle for the differential tests.
+//
+// # Lazy chip state
+//
+// A chip allocates only the state its program touches, as mem.SRAM
+// already does for memory. A stream register is allocated on its first
+// write; until then it reads as one shared all-zero register whose byte
+// view, lane view and nonzero summary are all valid, so no read ever
+// writes to it. The MXM weight buffer is allocated by the first
+// LoadWeights; until then MatMul reads one shared all-zero block, so the
+// arithmetic (a*0 = NaN for non-finite a, signed zeros) is exactly that of
+// explicitly loaded zero rows.
 package tsp
 
 import (
@@ -195,29 +206,42 @@ func init() {
 	}
 }
 
+// zeroWeights is what MatMul reads on a chip that never loaded weights.
+// Shared by every such chip and never written.
+var zeroWeights [WeightRows][FloatLanes]float32
+
+// reg is one stream register, dual-representation (see the package
+// comment): bytes holds the architectural value when byteOK, lanes the
+// decoded float32 lanes when laneOK. At least one bit is set at all
+// times; both set means the two forms agree.
+type reg struct {
+	bytes          Vector
+	lanes          Lanes
+	byteOK, laneOK bool
+	// nzTop caches 1 + the highest nonzero lane (0 = all lanes zero)
+	// while nzOK; any write invalidates it. MatMul bounds its row loop
+	// with it, so sparse activation vectors skip the dead tail of the
+	// weight matrix without a per-row scan. Purely a loop bound on rows
+	// the a==0 test would skip anyway — results are bit-identical with or
+	// without the cache.
+	nzOK  bool
+	nzTop uint8
+}
+
+// zeroReg is what every unwritten stream register reads as. Zero bytes and
+// zero lanes agree and the nonzero summary is 0, so every view is valid
+// and no read path ever writes to it; it is shared by all chips.
+var zeroReg = reg{byteOK: true, laneOK: true, nzOK: true}
+
 // Chip is one TSP instance mid-execution.
 type Chip struct {
-	ID      int
-	Mem     *mem.SRAM
-	Weights [WeightRows][FloatLanes]float32
+	ID  int
+	Mem *mem.SRAM
 
-	// Stream registers, dual-representation (see the package comment):
-	// streams[i] holds the architectural bytes when byteOK[i], lanes[i]
-	// the decoded float32 lanes when laneOK[i]. At least one bit is set
-	// per register at all times; both set means the two forms agree.
-	streams [NumStreams]Vector
-	lanes   [NumStreams]Lanes
-	byteOK  [NumStreams]bool
-	laneOK  [NumStreams]bool
-
-	// nzTop[i] caches 1 + the highest nonzero lane of stream i (0 = all
-	// lanes zero) while nzOK[i]; any write invalidates it. MatMul bounds
-	// its row loop with it, so sparse activation vectors skip the dead
-	// tail of the weight matrix without a per-row scan. Purely a loop
-	// bound on rows the a==0 test would skip anyway — results are
-	// bit-identical with or without the cache.
-	nzTop [NumStreams]uint8
-	nzOK  [NumStreams]bool
+	// weights is the MXM weight buffer, nil until the first LoadWeights.
+	weights *[WeightRows][FloatLanes]float32
+	// regs are the stream registers, each nil until its first write.
+	regs [NumStreams]*reg
 
 	c2c  C2C
 	prog *isa.Program
@@ -293,13 +317,6 @@ func New(id int, prog *isa.Program, c2c C2C) *Chip {
 		c.slen[u] = len(prog.Streams[u])
 	}
 	c.sendGap = buildSendGaps(prog)
-	for i := range c.streams {
-		// Zero bytes and zero lanes agree, so both views start valid; the
-		// all-zero vector's nonzero summary is 0.
-		c.byteOK[i] = true
-		c.laneOK[i] = true
-		c.nzOK[i] = true
-	}
 	c.AttachRecorder(obs.Get())
 	return c
 }
@@ -320,9 +337,36 @@ func (c *Chip) SetStream(i int, v Vector) { *c.byteWrite(i) = v }
 func (c *Chip) Streams() [NumStreams]Vector {
 	var out [NumStreams]Vector
 	for i := range out {
-		out[i] = *c.streamBytes(i)
+		if c.regs[i] != nil {
+			out[i] = *c.streamBytes(i)
+		}
 	}
 	return out
+}
+
+// reg returns stream register i for reading: the shared zero register
+// while i has never been written. Every view of the zero register is
+// valid, so the lazy conversions below never write to it.
+func (c *Chip) reg(i int) *reg {
+	if r := c.regs[i]; r != nil {
+		return r
+	}
+	return &zeroReg
+}
+
+// regForWrite returns stream register i for writing, allocating it as a
+// copy of the zero register on its first write. The caller sets the
+// validity bits once it has filled a view; until then the register still
+// reads as zero, so a producer that fails (an underflowing Recv, a
+// poisoned Read) leaves it coherent.
+func (c *Chip) regForWrite(i int) *reg {
+	r := c.regs[i]
+	if r == nil {
+		r = new(reg)
+		*r = zeroReg
+		c.regs[i] = r
+	}
+	return r
 }
 
 // streamBytes returns stream i's architectural bytes, lazily re-encoding
@@ -330,21 +374,23 @@ func (c *Chip) Streams() [NumStreams]Vector {
 // bytes, and it runs the exact encode the eager byte path ran, so every
 // determinism boundary sees identical bytes.
 func (c *Chip) streamBytes(i int) *Vector {
-	if !c.byteOK[i] {
-		c.streams[i].encodeFrom(&c.lanes[i])
-		c.byteOK[i] = true
+	r := c.reg(i)
+	if !r.byteOK {
+		r.bytes.encodeFrom(&r.lanes)
+		r.byteOK = true
 	}
-	return &c.streams[i]
+	return &r.bytes
 }
 
 // streamLanes returns stream i's decoded lanes, lazily decoding the bytes
 // after a byte write (Recv/Read/SetStream).
 func (c *Chip) streamLanes(i int) *Lanes {
-	if !c.laneOK[i] {
-		c.streams[i].decodeInto(&c.lanes[i])
-		c.laneOK[i] = true
+	r := c.reg(i)
+	if !r.laneOK {
+		r.bytes.decodeInto(&r.lanes)
+		r.laneOK = true
 	}
-	return &c.lanes[i]
+	return &r.lanes
 }
 
 // actTop returns 1 + the highest nonzero lane of stream i (whose lanes
@@ -352,8 +398,9 @@ func (c *Chip) streamLanes(i int) *Lanes {
 // demand. The reverse scan checks four lanes per step, so a dense vector
 // pays ~20 compares and a sparse one stops at its live prefix.
 func (c *Chip) actTop(i int, f *Lanes) int {
-	if c.nzOK[i] {
-		return int(c.nzTop[i])
+	r := c.reg(i)
+	if r.nzOK {
+		return int(r.nzTop)
 	}
 	top := FloatLanes
 	for top >= 4 && f[top-1] == 0 && f[top-2] == 0 && f[top-3] == 0 && f[top-4] == 0 {
@@ -362,8 +409,8 @@ func (c *Chip) actTop(i int, f *Lanes) int {
 	for top > 0 && f[top-1] == 0 {
 		top--
 	}
-	c.nzTop[i] = uint8(top)
-	c.nzOK[i] = true
+	r.nzTop = uint8(top)
+	r.nzOK = true
 	return top
 }
 
@@ -391,20 +438,21 @@ func canonNaN(x float32) float32 {
 // calling: a source may alias the destination, and its lane cache must be
 // populated before the destination's bytes are invalidated.
 func (c *Chip) laneWrite(i int) *Lanes {
-	c.laneOK[i] = true
-	c.byteOK[i] = false
-	c.nzOK[i] = false
-	return &c.lanes[i]
+	r := c.regForWrite(i)
+	r.laneOK, r.byteOK, r.nzOK = true, false, false
+	return &r.lanes
 }
 
 // byteWrite marks stream i byte-authoritative and returns its byte array
-// for a byte producer (Recv, Read, SetStream) to fill.
+// for a byte producer (SetStream, SetState) to fill.
 func (c *Chip) byteWrite(i int) *Vector {
-	c.byteOK[i] = true
-	c.laneOK[i] = false
-	c.nzOK[i] = false
-	return &c.streams[i]
+	r := c.regForWrite(i)
+	r.markBytes()
+	return &r.bytes
 }
+
+// markBytes records that the register's bytes were just overwritten.
+func (r *reg) markBytes() { r.byteOK, r.laneOK, r.nzOK = true, false, false }
 
 // AttachRecorder wires the chip's instrumentation to rec (nil detaches).
 // Per-instruction spans render in Perfetto as pid=chip, tid=functional
@@ -629,35 +677,34 @@ func (c *Chip) execute(u isa.Unit, in isa.Instruction, t int64) {
 
 	case isa.Recv:
 		if c.c2c != nil {
-			idx := int(in.B) % NumStreams
+			r := c.regForWrite(int(in.B) % NumStreams)
 			// Recv writes dst only on success, so the register (and its
 			// validity bits) stay coherent across an underflow fault.
-			if !c.c2c.Recv(int(in.A), t, &c.streams[idx]) {
+			if !c.c2c.Recv(int(in.A), t, &r.bytes) {
 				c.setFault(&Fault{Kind: ErrUnderflow, Unit: u, Cycle: t, Instr: in})
 				return
 			}
-			c.byteOK[idx] = true
-			c.laneOK[idx] = false
-			c.nzOK[idx] = false
+			r.markBytes()
 		}
 
 	case isa.Read:
-		idx := int(in.Imm) % NumStreams
+		r := c.regForWrite(int(in.Imm) % NumStreams)
 		// ReadInto leaves dst untouched on a poisoned read, so the
 		// register stays coherent when the fault abandons the run.
-		if !c.Mem.ReadInto(memAddr(in), c.streams[idx][:]) {
+		if !c.Mem.ReadInto(memAddr(in), r.bytes[:]) {
 			c.setFault(&Fault{Kind: ErrMemPoison, Unit: u, Cycle: t, Instr: in})
 			return
 		}
-		c.byteOK[idx] = true
-		c.laneOK[idx] = false
-		c.nzOK[idx] = false
+		r.markBytes()
 
 	case isa.Write:
 		c.Mem.Write(memAddr(in), c.streamBytes(int(in.Imm) % NumStreams)[:])
 
 	case isa.LoadWeights:
-		c.Weights[int(in.B)%WeightRows] = *c.streamLanes(int(in.A) % NumStreams)
+		if c.weights == nil {
+			c.weights = new([WeightRows][FloatLanes]float32)
+		}
+		c.weights[int(in.B)%WeightRows] = *c.streamLanes(int(in.A) % NumStreams)
 
 	case isa.MatMul:
 		rows := int(in.Imm)
@@ -678,13 +725,17 @@ func (c *Chip) execute(u isa.Unit, in isa.Instruction, t int64) {
 		if top := c.actTop(ai, act); rows > top {
 			rows = top
 		}
+		weights := c.weights
+		if weights == nil {
+			weights = &zeroWeights
+		}
 		var out Lanes
 		for r := 0; r < rows; r++ {
 			a := act[r]
 			if a == 0 {
 				continue
 			}
-			w := &c.Weights[r]
+			w := &weights[r]
 			// Unrolled 4-wide over the output lanes. Lanes accumulate
 			// independently (out[j] only ever combines with w[j]), so this
 			// reorders nothing within any lane's sum — results stay
@@ -768,14 +819,16 @@ func (c *Chip) execute(u isa.Unit, in isa.Instruction, t int64) {
 		if ai != ci {
 			// Copy whichever representations are live; the destination
 			// inherits the source's validity, so no decode or encode runs.
-			if c.byteOK[ai] {
-				c.streams[ci] = c.streams[ai]
+			// An unwritten source is the zero register: zero is copied.
+			src, dst := c.reg(ai), c.regForWrite(ci)
+			if src.byteOK {
+				dst.bytes = src.bytes
 			}
-			if c.laneOK[ai] {
-				c.lanes[ci] = c.lanes[ai]
+			if src.laneOK {
+				dst.lanes = src.lanes
 			}
-			c.byteOK[ci], c.laneOK[ci] = c.byteOK[ai], c.laneOK[ai]
-			c.nzTop[ci], c.nzOK[ci] = c.nzTop[ai], c.nzOK[ai]
+			dst.byteOK, dst.laneOK = src.byteOK, src.laneOK
+			dst.nzTop, dst.nzOK = src.nzTop, src.nzOK
 		}
 
 	case isa.VMax:

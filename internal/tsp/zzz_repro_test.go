@@ -2,10 +2,10 @@ package tsp
 
 import "testing"
 
-// Repro: SetState into a freshly constructed chip must invalidate the
-// nzTop cache. New() marks every register nzOK with nzTop=0 (all-zero),
-// and SetState does not clear it, so a restored nonzero activation
-// register consumed by MatMul before any write sees rows=0.
+// Repro: SetState into a freshly constructed chip must not leave a
+// restored register with the nzTop summary of the zero register it
+// replaced (nzTop=0, all-zero): a restored nonzero activation register
+// consumed by MatMul before any write would see rows=0.
 func TestReproSetStateStaleNzTop(t *testing.T) {
 	src := `
 load_weights s1 0
