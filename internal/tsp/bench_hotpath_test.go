@@ -94,11 +94,26 @@ func BenchmarkHotpathMatMulDense(b *testing.B) {
 }
 
 // BenchmarkHotpathMatMulSparse runs the same matmul with a 4-live-lane
-// activation — the benchmark workloads' shape — so the nzTop bound prunes
-// the dead row tail.
+// activation against never-loaded weights, so the nzTop bound prunes the
+// dead row tail on the activation side.
 func BenchmarkHotpathMatMulSparse(b *testing.B) {
 	c := New(0, &isa.Program{}, nil)
 	c.SetStream(1, VectorOf([]float32{3, 1, -2, 5}))
+	in := isa.Instruction{Op: isa.MatMul, A: 1, B: 40, Imm: 80}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.execute(isa.MXM, in, 0)
+	}
+}
+
+// BenchmarkHotpathMatMulUnloaded runs an 80-row matmul with a dense
+// activation against never-loaded weights — the shape of the ring
+// all-reduce and pipeline programs' background matmuls — so the weight
+// extent (wTop = 0) leaves only the non-finite scan of the activation.
+func BenchmarkHotpathMatMulUnloaded(b *testing.B) {
+	c := New(0, &isa.Program{}, nil)
+	c.SetStream(1, benchVector())
 	in := isa.Instruction{Op: isa.MatMul, A: 1, B: 40, Imm: 80}
 	b.ReportAllocs()
 	b.ResetTimer()
