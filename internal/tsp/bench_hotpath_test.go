@@ -109,8 +109,8 @@ func BenchmarkHotpathMatMulSparse(b *testing.B) {
 
 // BenchmarkHotpathMatMulUnloaded runs an 80-row matmul with a dense
 // activation against never-loaded weights — the shape of the ring
-// all-reduce and pipeline programs' background matmuls — so the weight
-// extent (wTop = 0) leaves only the non-finite scan of the activation.
+// all-reduce and pipeline programs' background matmuls — so MatMul
+// multiplies no rows and only scans the activation for a non-finite lane.
 func BenchmarkHotpathMatMulUnloaded(b *testing.B) {
 	c := New(0, &isa.Program{}, nil)
 	c.SetStream(1, benchVector())

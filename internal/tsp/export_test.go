@@ -5,13 +5,13 @@ import "repro/internal/isa"
 // Test-only access for the external tsp_test package, whose tests import
 // packages (checkpoint) that themselves import tsp.
 
-// WeightTop returns the chip's cached weight extent.
-func (c *Chip) WeightTop() int { return c.wTop }
-
 // ExecMXM executes one MXM instruction at cycle 0.
 func (c *Chip) ExecMXM(in isa.Instruction) { c.execute(isa.MXM, in, 0) }
 
 var (
-	RefVectorOp   = refVectorOp
-	RecomputeWTop = recomputeWTop
+	RefVectorOp    = refVectorOp
+	RefLoadWeights = refLoadWeights
 )
+
+// zeroWeights is a weight buffer of explicitly loaded zero rows.
+var zeroWeights [WeightRows][FloatLanes]float32

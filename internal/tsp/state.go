@@ -127,7 +127,6 @@ func (c *Chip) SetState(s ChipState) {
 		w := *s.Weights
 		c.weights = &w
 	}
-	c.wTop = c.weightTop(WeightRows)
 	c.Mem.SetState(s.Mem)
 	for u := range s.Units {
 		c.pc[u] = s.Units[u].PC

@@ -44,10 +44,10 @@
 // write; until then it reads as one shared all-zero register whose byte
 // view, lane view and nonzero summary are all valid, so no read ever
 // writes to it. The MXM weight buffer is allocated by the first
-// LoadWeights. MatMul reads only the weight rows below the chip's weight
-// extent (wTop) and treats the rest as zero rows, so a never-loaded
-// buffer (extent 0) computes exactly what explicitly loaded zero rows do
-// (a*0 = NaN for non-finite a, signed zeros).
+// LoadWeights. MatMul on a never-loaded buffer multiplies no rows: it
+// only scans the activation for a non-finite lane, which computes exactly
+// what explicitly loaded zero rows do (a*0 = NaN for non-finite a, +0
+// otherwise).
 package tsp
 
 import (
@@ -237,11 +237,6 @@ type Chip struct {
 
 	// weights is the MXM weight buffer, nil until the first LoadWeights.
 	weights *[WeightRows][FloatLanes]float32
-	// wTop is 1 + the highest weight row holding a nonzero lane (NaN
-	// counts, ±0 does not), 0 while weights is nil. LoadWeights and
-	// SetState, the only writers of weights, keep it exact; MatMul bounds
-	// its row loop with it (see the MatMul case in execute).
-	wTop int
 	// regs are the stream registers, each nil until its first write.
 	regs [NumStreams]*reg
 
@@ -397,22 +392,13 @@ func (c *Chip) streamLanes(i int) *Lanes {
 
 // actTop returns 1 + the highest nonzero lane of stream i (whose lanes
 // the caller has already resolved to f), computing and caching it on
-// demand.
+// demand. The reverse scan checks four lanes per step, so a dense vector
+// pays ~20 compares and a sparse one stops at its live prefix.
 func (c *Chip) actTop(i int, f *Lanes) int {
 	r := c.reg(i)
 	if r.nzOK {
 		return int(r.nzTop)
 	}
-	top := laneTop(f)
-	r.nzTop = uint8(top)
-	r.nzOK = true
-	return top
-}
-
-// laneTop returns 1 + the highest lane of f that is not ±0 (0 when every
-// lane is). The reverse scan checks four lanes per step, so a dense
-// vector pays ~20 compares and a sparse one stops at its live prefix.
-func laneTop(f *Lanes) int {
 	top := FloatLanes
 	for top >= 4 && f[top-1] == 0 && f[top-2] == 0 && f[top-3] == 0 && f[top-4] == 0 {
 		top -= 4
@@ -420,19 +406,9 @@ func laneTop(f *Lanes) int {
 	for top > 0 && f[top-1] == 0 {
 		top--
 	}
+	r.nzTop = uint8(top)
+	r.nzOK = true
 	return top
-}
-
-// weightTop returns 1 + the highest weight row below n holding a lane
-// that is not ±0 (0 when there is none or weights is nil).
-func (c *Chip) weightTop(n int) int {
-	if c.weights == nil {
-		return 0
-	}
-	for n > 0 && laneTop((*Lanes)(&c.weights[n-1])) == 0 {
-		n--
-	}
-	return n
 }
 
 // canonNaNBits is the single quiet-NaN bit pattern every arithmetic
@@ -725,14 +701,7 @@ func (c *Chip) execute(u isa.Unit, in isa.Instruction, t int64) {
 		if c.weights == nil {
 			c.weights = new([WeightRows][FloatLanes]float32)
 		}
-		ai, row := int(in.A)%NumStreams, int(in.B)%WeightRows
-		src := c.streamLanes(ai)
-		c.weights[row] = *src
-		if c.actTop(ai, src) > 0 {
-			c.wTop = max(c.wTop, row+1)
-		} else if row+1 == c.wTop {
-			c.wTop = c.weightTop(row)
-		}
+		c.weights[int(in.B)%WeightRows] = *c.streamLanes(int(in.A) % NumStreams)
 
 	case isa.MatMul:
 		rows := int(in.Imm)
@@ -753,11 +722,15 @@ func (c *Chip) execute(u isa.Unit, in isa.Instruction, t int64) {
 		if top := c.actTop(ai, act); rows > top {
 			rows = top
 		}
-		// Weight rows at and above wTop are all ±0, so only [0, live) can
-		// move an output lane. out starts at +0 and a round-to-nearest sum
-		// is -0 only when both addends are, so out never holds -0 and a
-		// finite a times a zero weight adds nothing to any lane.
-		live := min(rows, c.wTop)
+		// A never-loaded buffer is all zero rows, so the multiply-adds
+		// run only over loaded weights. out starts at +0 and a
+		// round-to-nearest sum is -0 only when both addends are, so out
+		// never holds -0 and a finite a times a zero weight adds nothing
+		// to any lane.
+		live := rows
+		if c.weights == nil {
+			live = 0
+		}
 		weights := c.weights
 		var out Lanes
 		for r := 0; r < live; r++ {
